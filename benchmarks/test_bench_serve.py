@@ -7,7 +7,7 @@ cache, per-switch TCAM accounting and concurrent collectives on one fabric.
 
 import time
 
-from repro.experiments.runner import segment_bytes_for
+from repro.api import segment_bytes_for
 from repro.serve import (
     CompositeAdmission,
     LinkLoadAdmission,

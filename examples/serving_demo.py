@@ -24,7 +24,7 @@ Run:  python examples/serving_demo.py [--jobs 1000] [--check-invariants]
 
 import argparse
 
-from repro.experiments.runner import segment_bytes_for
+from repro.api import segment_bytes_for
 from repro.metrics import format_slo_table
 from repro.serve import (
     SERVE_SCHEMES,

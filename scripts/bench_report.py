@@ -64,7 +64,7 @@ KB = 1024
 
 
 def _segment_bytes_for(message_bytes: int) -> int:
-    from repro.experiments.runner import segment_bytes_for
+    from repro.api import segment_bytes_for
 
     return segment_bytes_for(message_bytes)
 

@@ -5,8 +5,8 @@ Used to regenerate EXPERIMENTS.md's measured numbers:
     python scripts/run_all_experiments.py --workers 8   # parallel sweeps
 
 ``-j/--workers N`` fans each simulation sweep's grid out over N worker
-processes (default: one per CPU; ``--jobs`` is a hidden alias); tables
-are byte-identical to a serial ``--workers 1`` run.
+processes (default: one per CPU); tables are byte-identical to a serial
+``--workers 1`` run.
 """
 
 import argparse
@@ -39,8 +39,6 @@ def main():
     parser.add_argument(
         "-j", "--workers", type=int, default=None, metavar="N",
         help="worker processes per sweep (default: one per CPU; 1 = serial)")
-    parser.add_argument(
-        "--jobs", type=int, dest="workers", help=argparse.SUPPRESS)
     args = parser.parse_args()
     workers = resolve_jobs(args.workers)
     sweep = dict(

@@ -1,16 +1,13 @@
 """Unified scenario facade: one spec object, one ``run()`` call.
 
 Every way of running a scenario in this repo — the figure scripts, the
-CLI subcommands, the observability demo, the soak harness — used to funnel
-through ``run_broadcast_scenario(...)`` and its nine positional-ish
-keywords.  This module replaces that with a small, typed surface:
+CLI subcommands, the observability demo, the soak harness — goes through
+this small, typed surface:
 
 * :class:`ScenarioSpec` — a frozen description of *what* to run: fabric,
   scheme, jobs, simulator config, and the optional correctness tooling
   (invariants, fault schedule, golden trace, observability).
 * :func:`run` — ``run(spec) -> ScenarioResult``, the one-call entry point.
-  Byte-identical to the legacy runner for the same inputs (the legacy
-  function is now a deprecation shim over this one).
 * :class:`ScenarioRun` — the launched-but-unfinished middle state, exposed
   because it is the checkpoint seam: ``prepare -> run_until -> snapshot``
   lets :mod:`repro.replay` freeze a scenario mid-flight and resume it in
@@ -106,9 +103,9 @@ class ScenarioSpec:
     churn: "object | None" = None
     #: Run the scenario across N parallel shards (see :mod:`repro.shard`):
     #: the fabric and workload are partitioned into traffic-closed slices
-    #: synchronized by a conservative window barrier, and the merged run is
-    #: byte-identical to ``shards=1`` — same golden trace, same digests,
-    #: same metrics exports.  Requires a partitionable spec (``run`` raises
+    #: advanced in lockstep windows, and the merged run is byte-identical
+    #: to ``shards=1`` — same golden trace, same digests, same metrics
+    #: exports.  Requires a partitionable spec (``run`` raises
     #: :class:`repro.shard.ShardError` otherwise, never degrades silently).
     shards: int = 1
     #: The invariant checker's deadlock watchdog schedules real simulator
@@ -197,10 +194,10 @@ class ScenarioResult:
 class ScenarioRun:
     """A scenario after launch, before completion — the checkpoint seam.
 
-    Constructing one performs the same setup sequence the legacy runner
-    did (copy topology under faults, build the env, attach observability,
-    launch every job, track the handles), then stops at a safe point
-    without processing any events.  From there:
+    Constructing one performs the whole setup sequence (copy topology
+    under faults, build the env, attach observability, launch every job,
+    track the handles), then stops at a safe point without processing any
+    events.  From there:
 
     * :meth:`finish` drains the event queue and builds the result —
       ``ScenarioRun(spec).finish()`` is exactly :func:`run`;
@@ -290,9 +287,7 @@ class ScenarioRun:
     def finish(self) -> ScenarioResult:
         """Drain remaining events, finalize checks, build the result.
 
-        Mirrors the legacy runner's exact operation order so results are
-        byte-identical whichever door a scenario came in through.  Any
-        ``max_events`` budget counts events processed *across* checkpoints
+        Any ``max_events`` budget counts events processed *across* checkpoints
         (a resumed run inherits the simulator's processed count).
         """
         if self.finished:
@@ -325,38 +320,11 @@ class ScenarioRun:
                 f"max_events too low"
             )
         digest = env.sim.event_digest
-        header_overhead = sum(
-            t.header_bytes * (t.num_segments + t.retransmissions)
-            for h in self.handles
-            for t in h.transfers
-            if t.header_bytes
-        )
-        group_tcam_peak = (
-            env.group_state.peak_entries_per_switch
-            if env.group_state is not None
-            else 0
-        )
-        backup_entries = 0
-        backup_peak = 0
-        if env.protection_state is not None:
-            backup_entries = sum(
-                len(t) for t in env.protection_state.tables.values()
-            )
-            backup_peak = env.protection_state.peak_entries_per_switch
         return ScenarioResult(
             scheme=self.scheme.name,
             ccts=[h.cct_s for h in self.handles],
-            total_bytes=env.network.total_bytes_sent(),
-            wasted_bytes=env.network.wasted_bytes,
-            pfc_pause_events=env.network.pfc_pause_events,
             invariant_violations=list(violations),
             trace_digest=env.trace.digest() if env.trace is not None else None,
-            failure_drops=env.network.failure_drops,
-            repeels=(
-                list(env.fault_injector.repeels)
-                if env.fault_injector is not None
-                else []
-            ),
             replay=ReplayInfo(
                 resumed=self.resumed_at_s is not None,
                 resumed_at_s=self.resumed_at_s,
@@ -366,21 +334,56 @@ class ScenarioRun:
                     digest.hexdigest() if digest is not None else None
                 ),
             ),
-            failovers=(
-                list(env.fault_injector.failovers)
-                if env.fault_injector is not None
-                else []
-            ),
             protection=env.protection,
-            backup_tcam_entries=backup_entries,
-            backup_tcam_peak_per_switch=backup_peak,
-            static_rule_budget=(
-                env.static_rule_budget() if env.protection else 0
-            ),
             membership=membership,
-            header_overhead_bytes=header_overhead,
-            per_group_tcam_peak=group_tcam_peak,
+            **fabric_accounting(env, self.handles),
         )
+
+
+#: :class:`ScenarioResult` fields that :func:`fabric_accounting` reports as
+#: per-switch maxima; every other scalar it reports is a sum over the fabric.
+PEAK_FIELDS = frozenset(
+    ("backup_tcam_peak_per_switch", "static_rule_budget", "per_group_tcam_peak")
+)
+
+
+def fabric_accounting(env: CollectiveEnv, handles) -> dict:
+    """The :class:`ScenarioResult` fields read off a finished environment:
+    traffic counters, fault handling, header bytes and switch state.
+
+    Scalars are sums over the fabric, except the :data:`PEAK_FIELDS`
+    maxima, so traffic-closed shards merge their accounts field by field.
+    """
+    injector = env.fault_injector
+    backups = env.protection_state
+    return {
+        "total_bytes": env.network.total_bytes_sent(),
+        "wasted_bytes": env.network.wasted_bytes,
+        "pfc_pause_events": env.network.pfc_pause_events,
+        "failure_drops": env.network.failure_drops,
+        "repeels": list(injector.repeels) if injector is not None else [],
+        "failovers": list(injector.failovers) if injector is not None else [],
+        "backup_tcam_entries": (
+            sum(len(t) for t in backups.tables.values())
+            if backups is not None
+            else 0
+        ),
+        "backup_tcam_peak_per_switch": (
+            backups.peak_entries_per_switch if backups is not None else 0
+        ),
+        "static_rule_budget": env.static_rule_budget() if env.protection else 0,
+        "header_overhead_bytes": sum(
+            t.header_bytes * (t.num_segments + t.retransmissions)
+            for h in handles
+            for t in h.transfers
+            if t.header_bytes
+        ),
+        "per_group_tcam_peak": (
+            env.group_state.peak_entries_per_switch
+            if env.group_state is not None
+            else 0
+        ),
+    }
 
 
 def run(spec: ScenarioSpec) -> ScenarioResult:

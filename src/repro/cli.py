@@ -13,15 +13,13 @@
 Flag conventions: ``--num-jobs`` is always *simulated collectives per
 scenario point*; ``-j``/``--workers`` is always *worker processes* for a
 sweep (default: one per CPU; 1 = serial in-process, byte-identical
-results).  ``--jobs`` survives as a hidden alias of ``--workers`` for
-old scripts.
+results).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 
 from .experiments import (
     control_churn,
@@ -72,19 +70,6 @@ EXPERIMENTS = {
 }
 
 
-class _JobsAliasAction(argparse.Action):
-    """The hidden ``--jobs`` alias of ``-j``/``--workers``: same effect,
-    plus exactly one :class:`DeprecationWarning` per use."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        warnings.warn(
-            "--jobs is deprecated; use -j/--workers",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        setattr(namespace, self.dest, values)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -102,11 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="worker processes for the sweep (default: one per CPU; "
                  "1 = serial in-process)")
-        # Old spelling, kept working but out of --help (it collided with
-        # --num-jobs in every head: workers != simulated collectives).
-        parser_.add_argument(
-            "--jobs", dest="workers", type=int, action=_JobsAliasAction,
-            help=argparse.SUPPRESS)
 
     p = sub.add_parser("frontier", help=EXPERIMENTS["frontier"])
     p.add_argument("--sizes", type=int, nargs="+",

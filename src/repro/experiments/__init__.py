@@ -17,16 +17,12 @@ from .parallel import (
     shard_speedup,
     stderr_progress,
 )
-from .runner import ScenarioResult, run_broadcast_scenario, segment_bytes_for
 
 __all__ = [
     "CctRow",
     "format_cct_table",
     "mean_ratio",
     "rows_for",
-    "ScenarioResult",
-    "run_broadcast_scenario",
-    "segment_bytes_for",
     "ShardSpeedup",
     "SweepPoint",
     "flatten",

@@ -5,9 +5,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
+from ..api import segment_bytes_for
 from ..sim import SimConfig
 from ..topology import FatTree, LeafSpine
-from .runner import segment_bytes_for
 
 MB = 2**20
 

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..api import segment_bytes_for
 from ..faults import FaultSchedule
 from ..serve import CompositeAdmission, LinkLoadAdmission, ServeRuntime, TcamAdmission
 from ..sim import SimConfig
 from ..topology import FatTree
 from ..workloads import generate_jobs
 from .parallel import ProgressFn, SweepPoint, run_sweep
-from .runner import segment_bytes_for
 
 KB = 1024
 DEFAULT_LOADS = (0.1, 0.3, 0.5, 0.7, 0.9)

@@ -12,7 +12,7 @@ figure.
 
 The point functions are module-level and picklable on purpose: the golden
 suite pushes them through :func:`repro.experiments.parallel.run_sweep`
-with ``--jobs 1`` and ``--jobs 4`` and asserts byte-identical output.
+with ``jobs=1`` and ``jobs=4`` and asserts byte-identical output.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..collectives import (
     BroadcastScheme,
@@ -78,6 +79,56 @@ def resolve_serving_scheme(scheme) -> tuple[str, BroadcastScheme]:
     return str(spec), resolve_scheme(spec)
 
 
+class JobRow(NamedTuple):
+    """A finished job as the SLO summary reads it: plain and picklable, so
+    sharded serving ships rows from worker processes."""
+
+    index: int
+    tenant: str
+    status: str
+    arrival_s: float
+    completed_s: float | None
+    cct_s: float | None
+    queue_delay_s: float
+    delivered_bytes: int
+
+
+def summarize_tenants(rows: list[JobRow]) -> tuple[list[SloSummary], SloSummary]:
+    """Per-tenant SLO rows (sorted by tenant) and the TOTAL row over
+    ``rows`` in submit order; anything not ``done`` counts as rejected."""
+    if not rows:
+        raise RuntimeError("nothing submitted; cannot summarize SLOs")
+    done = [r for r in rows if r.status == "done"]
+    first = min(r.arrival_s for r in rows)
+    end = max((r.completed_s for r in done), default=first)
+    span = max(end - first, 1e-9)
+
+    def summary(tag: str, records: list[JobRow], rejected: int) -> SloSummary:
+        return summarize_slo(
+            tag,
+            [r.cct_s for r in records],
+            [r.queue_delay_s for r in records],
+            rejected,
+            sum(r.delivered_bytes for r in records),
+            span,
+        )
+
+    tenants: dict[str, list[JobRow]] = {}
+    rejects: dict[str, int] = {}
+    for row in rows:
+        tenants.setdefault(row.tenant, [])
+        rejects.setdefault(row.tenant, 0)
+        if row.status == "done":
+            tenants[row.tenant].append(row)
+        else:
+            rejects[row.tenant] += 1
+    tenant_rows = [
+        summary(tenant, records, rejects[tenant])
+        for tenant, records in sorted(tenants.items())
+    ]
+    return tenant_rows, summary("TOTAL", done, len(rows) - len(done))
+
+
 @dataclass
 class JobRecord:
     """One submitted job's lifecycle inside the runtime."""
@@ -102,6 +153,18 @@ class JobRecord:
     def delivered_bytes(self) -> int:
         """Payload bytes this job put onto receiver NICs."""
         return self.job.message_bytes * len(self.job.group.receiver_hosts)
+
+    def row(self) -> JobRow:
+        return JobRow(
+            self.index,
+            self.job.tenant,
+            self.status,
+            self.job.arrival_s,
+            self.completed_s,
+            self.cct_s,
+            self.queue_delay_s,
+            self.delivered_bytes,
+        )
 
 
 class _JobCompletion:
@@ -448,7 +511,6 @@ class ServeRuntime:
 
     def report(self) -> ServeReport:
         """Per-tenant SLO summaries plus fabric accounting for the run."""
-        done = [r for r in self.records if r.status == "done"]
         stuck = [
             r for r in self.records if r.status in ("pending", "running", "queued")
         ]
@@ -457,35 +519,7 @@ class ServeRuntime:
                 f"{len(stuck)} jobs still in flight; run() the simulation to "
                 "completion (or reject them) before reporting"
             )
-        if not self.records:
-            raise RuntimeError("nothing submitted; cannot summarize SLOs")
-        first = min(r.job.arrival_s for r in self.records)
-        end = max((r.completed_s for r in done), default=first)
-        span = max(end - first, 1e-9)
-
-        def summary(tag: str, records: list[JobRecord], rejected: int) -> SloSummary:
-            return summarize_slo(
-                tag,
-                [r.cct_s for r in records],
-                [r.queue_delay_s for r in records],
-                rejected,
-                sum(r.delivered_bytes for r in records),
-                span,
-            )
-
-        tenants: dict[str, list[JobRecord]] = {}
-        rejects: dict[str, int] = {}
-        for record in self.records:
-            tenants.setdefault(record.job.tenant, [])
-            rejects.setdefault(record.job.tenant, 0)
-            if record.status == "done":
-                tenants[record.job.tenant].append(record)
-            else:
-                rejects[record.job.tenant] += 1
-        rows = [
-            summary(tenant, records, rejects[tenant])
-            for tenant, records in sorted(tenants.items())
-        ]
+        tenants, total = summarize_tenants([r.row() for r in self.records])
         cache = self.env.plan_cache  # careful: an empty cache is falsy
         if self.obs is not None and not self._obs_folded:
             self._obs_folded = True  # report() may run more than once
@@ -501,8 +535,8 @@ class ServeRuntime:
             self.obs.finalize()
         return ServeReport(
             scheme=self.scheme_name,
-            tenants=rows,
-            total=summary("TOTAL", done, len(self.records) - len(done)),
+            tenants=tenants,
+            total=total,
             queued_jobs=self.total_queued,
             cache_hits=cache.hits if cache is not None else 0,
             cache_misses=cache.misses if cache is not None else 0,

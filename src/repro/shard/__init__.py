@@ -2,9 +2,9 @@
 
 ``repro.shard`` partitions a scenario or serve campaign across worker
 shards — each a full calendar-queue :class:`~repro.sim.engine.Simulator`
-over a traffic-closed slice of the fabric — synchronized by a
-conservative :class:`WindowBarrier` and re-sequenced by a
-:class:`GlobalSequencer` so the merged fired-event stream, golden-trace
+over a traffic-closed slice of the fabric — advanced in lockstep windows
+(which bound merge memory; no event crosses a shard) and re-sequenced by
+a :class:`GlobalSequencer` so the merged fired-event stream, golden-trace
 chain, event digest and observability exports are *byte-identical* to a
 serial run of the same spec.  The differential battery in
 ``tests/property/test_shard_properties.py`` is the proof.
@@ -23,17 +23,10 @@ run can (a mid-run fabric RNG draw, a tree crossing shard territory, a
 queued serve job).  Sharding never silently degrades to "close enough".
 """
 
-from .barrier import BoundaryMessage, WindowBarrier
 from .errors import ShardError, ShardPartitionError
-from .partition import CORE_ZONE, ShardPlan, lookahead_s, plan_partition, zone_of
+from .partition import CORE_ZONE, ShardPlan, plan_partition, zone_of
 from .record import RecordingSimulator, ShardTraceRecorder
-from .runner import (
-    SHARDABLE_SCHEMES,
-    ShardedScenarioRun,
-    run_sharded,
-    shardable_schemes,
-    validate_spec,
-)
+from .runner import ShardedScenarioRun, run_sharded, shardable_schemes, validate_spec
 from .sequencer import GlobalSequencer
 from .serve import (
     SHARDABLE_SERVE_SCHEMES,
@@ -46,9 +39,7 @@ from .workload import pod_local_jobs
 
 __all__ = [
     "CORE_ZONE",
-    "SHARDABLE_SCHEMES",
     "SHARDABLE_SERVE_SCHEMES",
-    "BoundaryMessage",
     "GlobalSequencer",
     "RecordingSimulator",
     "ServeShardSpec",
@@ -59,8 +50,6 @@ __all__ = [
     "ShardedScenarioRun",
     "ShardedServe",
     "ShardedServeResult",
-    "WindowBarrier",
-    "lookahead_s",
     "plan_partition",
     "pod_local_jobs",
     "run_sharded",

@@ -7,11 +7,11 @@ class ShardError(RuntimeError):
     """A sharded run cannot proceed (or cannot be proven byte-identical).
 
     Raised for unshardable specs (schemes that consume shared RNG streams,
-    ``max_events`` budgets that cannot be partitioned), for runtime
+    ``max_events`` budgets that cannot be partitioned) and for runtime
     determinism violations (a shard drew from a fabric RNG, a transfer tree
-    escaped its shard's territory, a serve shard queued a job), and for
-    barrier-protocol violations.  Callers should treat it as "run this
-    scenario serially instead", never as a result to silently degrade.
+    escaped its shard's territory, a serve shard queued a job).  Callers
+    should treat it as "run this scenario serially instead", never as a
+    result to silently degrade.
     """
 
 

@@ -9,13 +9,9 @@ Union-find over those couplings yields *traffic-closed components*: sets
 of zones between which no simulated event ever needs to cross during the
 run.  Components are dealt round-robin onto shards.
 
-Because components are closed, the conservative lookahead between shards
-is infinite (:func:`lookahead_s` returns ``inf`` when no cross-shard
-traffic exists, else the minimum propagation delay of a cross-shard
-link): shards never block on each other and the window barrier degrades
-to a pure stream merge.  The finite-window protocol still exists (see
-:mod:`repro.shard.barrier`) and is what a future cross-shard traffic
-matrix would ride on.
+Because components are closed, no event ever needs another shard's
+state: shards never wait on each other, and the lockstep windows that
+advance them only pace the stream merge.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from dataclasses import dataclass
 
 from ..topology.addressing import NodeKind, parse
 
-__all__ = ["CORE_ZONE", "ShardPlan", "lookahead_s", "plan_partition", "zone_of"]
+__all__ = ["CORE_ZONE", "ShardPlan", "plan_partition", "zone_of"]
 
 #: The single zone holding every core/spine switch.
 CORE_ZONE = ("core", 0)
@@ -201,16 +197,3 @@ def plan_partition(
         churn_shard=tuple(zone_shard[a] for a in churn_anchor),
     )
 
-
-def lookahead_s(plan: ShardPlan, topo, config) -> float:
-    """Conservative lookahead: the minimum propagation delay over links
-    whose endpoints live on different shards, ``inf`` when every link is
-    shard-internal (traffic-closed partition — the v1 planner guarantees
-    this, making the window barrier a pure merge)."""
-    cross = any(
-        plan.zone_shard[zone_of(u)] != plan.zone_shard[zone_of(v)]
-        for u, v in topo.graph.edges
-    )
-    if not cross:
-        return float("inf")
-    return config.propagation_delay_s

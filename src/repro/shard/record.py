@@ -32,7 +32,7 @@ __all__ = ["RecordingSimulator", "ShardTraceRecorder"]
 class RecordingSimulator(Simulator):
     """A :class:`~repro.sim.engine.Simulator` that records fired events.
 
-    ``records`` and ``lines`` are drained per barrier window with
+    ``records`` and ``lines`` are drained per lockstep window with
     :meth:`take_chunk` (bounded memory on long campaigns);
     ``recorded_total`` never resets, so observers can tag side-channel
     data (PFC pause durations) with the index of the currently firing

@@ -10,11 +10,12 @@ the serial run of the same spec.  How:
 * every shard builds a full private copy of the environment — topology,
   config, seeds — but launches only its own jobs/faults/churn, on a
   :class:`~repro.shard.record.RecordingSimulator`;
-* a :class:`~repro.shard.barrier.WindowBarrier` advances all shards in
-  lockstep windows (pure pacing here: the partition has infinite
-  lookahead); each window's records stream into the
-  :class:`~repro.shard.sequencer.GlobalSequencer`, which re-derives the
-  serial ``(time, seq)`` numbering, transfer names, digests and traces;
+* a :class:`LockstepDriver` advances all shards in lockstep windows —
+  pure pacing, since no event crosses a traffic-closed shard, but the
+  windows bound how many records the merge holds at once; each window's
+  records stream into the :class:`~repro.shard.sequencer.GlobalSequencer`,
+  which re-derives the serial ``(time, seq)`` numbering, transfer names,
+  digests and traces;
 * post-run determinism proofs: every fabric RNG state untouched (no
   shard took an ECN/loss draw the serial run would have interleaved
   differently), every multicast tree confined to its shard's territory,
@@ -29,22 +30,16 @@ digests.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
+from ..api import PEAK_FIELDS, ReplayInfo, ScenarioResult, ScenarioSpec, fabric_accounting
 from ..collectives import CollectiveEnv, registered_schemes, resolve_scheme
 from ..faults import FaultSchedule
-from .barrier import WindowBarrier
 from .errors import ShardError, ShardPartitionError
 from .obs_merge import ShardObservability, extract_obs, merge_observability
-from .partition import ShardPlan, lookahead_s, plan_partition
+from .partition import ShardPlan, plan_partition
 from .record import RecordingSimulator, ShardTraceRecorder
 from .sequencer import GlobalSequencer
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..api import ScenarioResult, ScenarioSpec
-
 __all__ = [
-    "SHARDABLE_SCHEMES",
     "ShardedScenarioRun",
     "run_sharded",
     "shardable_schemes",
@@ -63,20 +58,15 @@ def shardable_schemes() -> tuple[str, ...]:
     )
 
 
-#: Shardable built-ins at import time (informational; the check itself
-#: resolves the spec's scheme and reads its ``shardable`` capability, so
-#: schemes registered later are honored automatically).
-SHARDABLE_SCHEMES = shardable_schemes()
-
-#: Initial barrier-window span in simulated seconds; adapted per round
-#: toward a records-per-window target (pure pacing, never correctness —
-#: the battery proves window-size invariance).
+#: Initial window span in simulated seconds; adapted per round toward a
+#: records-per-window target that bounds merge memory (pacing, never
+#: correctness — the battery proves window-size invariance).
 _INITIAL_WINDOW_S = 1e-4
 _WINDOW_TARGET_LO = 16_384
 _WINDOW_TARGET_HI = 262_144
 
 
-def validate_spec(spec: "ScenarioSpec") -> None:
+def validate_spec(spec: ScenarioSpec) -> None:
     """Reject specs whose serial behaviour a sharded run cannot reproduce."""
     scheme = resolve_scheme(spec.scheme)
     if not scheme.shardable:
@@ -110,7 +100,15 @@ def validate_spec(spec: "ScenarioSpec") -> None:
 
 
 class ShardState:
-    """One shard's live half-world (in-process or inside a worker)."""
+    """One shard's live half-world (in-process or inside a worker).
+
+    Scenario shards fill ``handle_pairs``, ``churn_driver`` and ``obs``;
+    serve shards (:class:`repro.shard.serve.ServeShardState`) hold a
+    runtime instead.  Both owe the coordinator the same determinism proofs.
+    """
+
+    #: How refusals name this kind of shard.
+    label = "shard"
 
     def __init__(self, index: int) -> None:
         self.index = index
@@ -131,34 +129,35 @@ class ShardState:
 
     # -- determinism proofs ------------------------------------------------
 
-    def mark_rngs(self) -> None:
+    def _rng_states(self) -> tuple:
         env = self.env
-        self._rng_marks = (
+        return (
             env.network.rng.getstate(),
             env.rng.getstate(),
             env.router.rng.getstate(),
             env.controller.rng.getstate(),
         )
 
-    def check_rngs(self) -> None:
-        env = self.env
+    def mark(self, territory: set[str]) -> None:
+        """End of setup: record the shard's territory and RNG states."""
+        self.territory = territory
+        self._rng_marks = self._rng_states()
+
+    def prove(self) -> None:
+        """A drained shard ran exactly as its slice of the serial run: no
+        event left, no fabric RNG drawn since :meth:`mark`, and every
+        transfer tree inside the shard's territory."""
+        if self.sim.peek_time() is not None:
+            raise ShardError(f"{self.label} {self.index} still has pending events")
         names = ("network", "env", "router", "controller")
-        current = (
-            env.network.rng.getstate(),
-            env.rng.getstate(),
-            env.router.rng.getstate(),
-            env.controller.rng.getstate(),
-        )
-        for name, before, after in zip(names, self._rng_marks, current):
+        for name, before, after in zip(names, self._rng_marks, self._rng_states()):
             if before != after:
                 raise ShardError(
-                    f"shard {self.index} drew from the {name} RNG during "
-                    "the run (ECN ramp marking or random routing); the "
-                    "serial run would interleave these draws globally — "
-                    "result not byte-identical, run this scenario serially"
+                    f"{self.label} {self.index} drew from the {name} RNG "
+                    "during the run (ECN ramp marking or random routing); "
+                    "the serial run would interleave these draws globally — "
+                    "result not byte-identical, run it serially"
                 )
-
-    def check_containment(self) -> None:
         for transfer in self.env.network.transfers:
             trees = list(transfer.static_trees)
             if transfer.refined_tree is not None:
@@ -167,14 +166,15 @@ class ShardState:
                 stray = tree.nodes - self.territory
                 if stray:
                     raise ShardPartitionError(
-                        f"transfer {transfer.name} on shard {self.index} "
-                        f"routed through foreign nodes {sorted(stray)[:4]}; "
-                        "the partition is not traffic-closed"
+                        f"transfer {transfer.name} on {self.label} "
+                        f"{self.index} routed through foreign nodes "
+                        f"{sorted(stray)[:4]}; the partition is not "
+                        "traffic-closed"
                     )
 
 
 def build_scenario_shard(
-    spec: "ScenarioSpec", plan: ShardPlan, shard_index: int
+    spec: ScenarioSpec, plan: ShardPlan, shard_index: int
 ) -> ShardState:
     """Construct one shard's environment, mirroring the serial setup order
     (faults at env construction, jobs in spec order, churn install) while
@@ -251,18 +251,14 @@ def build_scenario_shard(
         if sim._seq - seq0 != len(churn_pairs):  # pragma: no cover
             raise ShardError("churn install scheduled an unexpected count")
         state.segments.extend((2, g, 1, [], None) for g, _ in churn_pairs)
-    state.territory = plan.nodes_for(shard_index, spec.topology)
-    state.mark_rngs()
+    state.mark(plan.nodes_for(shard_index, spec.topology))
     return state
 
 
 def finalize_scenario_shard(state: ShardState) -> dict:
     """Drained-shard epilogue: determinism proofs + result contribution."""
     env = state.env
-    if state.sim.peek_time() is not None:
-        raise ShardError(f"shard {state.index} still has pending events")
-    state.check_rngs()
-    state.check_containment()
+    state.prove()
     violations = env.finalize_checks()
     handles = [handle for _, handle in state.handle_pairs]
     unfinished = [h for h in handles if not h.complete]
@@ -271,44 +267,13 @@ def finalize_scenario_shard(state: ShardState) -> dict:
             f"{len(unfinished)} of {len(handles)} collectives never "
             f"completed on shard {state.index}; simulation stalled"
         )
-    backup_entries = 0
-    backup_peak = 0
-    if env.protection_state is not None:
-        backup_entries = sum(
-            len(t) for t in env.protection_state.tables.values()
-        )
-        backup_peak = env.protection_state.peak_entries_per_switch
-    injector = env.fault_injector
-    header_overhead = sum(
-        t.header_bytes * (t.num_segments + t.retransmissions)
-        for h in handles
-        for t in h.transfers
-        if t.header_bytes
-    )
-    group_tcam_peak = (
-        env.group_state.peak_entries_per_switch
-        if env.group_state is not None
-        else 0
-    )
     return {
         "ccts": [(g, handle.cct_s) for g, handle in state.handle_pairs],
-        "total_bytes": env.network.total_bytes_sent(),
-        "wasted_bytes": env.network.wasted_bytes,
-        "pfc_pause_events": env.network.pfc_pause_events,
-        "failure_drops": env.network.failure_drops,
         "violations": list(violations),
-        "repeels": list(injector.repeels) if injector is not None else [],
-        "failovers": list(injector.failovers) if injector is not None else [],
         "membership": (
             dict(state.churn_driver.counters) if state.churn_driver else {}
         ),
-        "backup_entries": backup_entries,
-        "backup_peak": backup_peak,
-        "header_overhead_bytes": header_overhead,
-        "group_tcam_peak": group_tcam_peak,
-        "static_rule_budget": (
-            env.static_rule_budget() if env.protection else 0
-        ),
+        "accounting": fabric_accounting(env, handles),
         "obs": (
             extract_obs(state.obs, env.network, handles)
             if state.obs is not None
@@ -371,11 +336,12 @@ class ProcessShard:
     def __init__(self, build_request: tuple, index: int) -> None:
         import multiprocessing as mp
 
+        from .worker import COORDINATOR_CONNS, shard_worker_main
+
         self.index = index
         ctx = mp.get_context("fork")
         self._conn, child_conn = ctx.Pipe()
-        from .worker import shard_worker_main
-
+        COORDINATOR_CONNS.add(self._conn)
         self._proc = ctx.Process(
             target=shard_worker_main,
             args=(child_conn, build_request),
@@ -425,17 +391,18 @@ class ProcessShard:
 
 
 class LockstepDriver:
-    """Drives N shard adapters through barrier windows into a sequencer.
+    """Drives N shard adapters through lockstep windows into a sequencer.
 
     Shared by scenario and serve sharding: owns the peeks, the adaptive
-    window span, and the open→advance→collect→feed→merge round.  Pickles
-    whole (with in-process shards) for sharded snapshots.
+    window span, and the advance→collect→feed→merge round.  Pickles whole
+    (with in-process shards) for sharded snapshots.
     """
 
     def __init__(self, shards: list, sequencer: GlobalSequencer) -> None:
         self.shards = shards
         self.sequencer = sequencer
-        self.barrier = WindowBarrier(len(shards))
+        #: Every shard has fired all its events at or before this time.
+        self.committed_edge = 0.0
         # Serial setup interleave: segments sort by (phase, global index)
         # across shards — faults, then jobs/submits, then churn.
         merged_setup: list[tuple[int, tuple]] = []
@@ -457,35 +424,31 @@ class LockstepDriver:
         return all(peek is None for peek in self._peeks)
 
     def advance_window(self) -> int:
-        """Open, simulate and commit one barrier window on every shard;
+        """Simulate one window on every live shard up to a common edge and
         merge its records.  Returns records merged (0 when drained)."""
         live = [peek for peek in self._peeks if peek is not None]
         if not live:
             return 0
         edge = min(live) + self._window_s
-        if edge <= self.barrier.committed_edge:  # pragma: no cover - defensive
-            edge = self.barrier.committed_edge + self._window_s
-        self.barrier.open(edge)
         for shard in self.shards:
             if self._peeks[shard.index] is not None:
                 shard.start_advance(edge)
         total = 0
         for shard in self.shards:
             if self._peeks[shard.index] is None:
-                self.barrier.arrive(shard.index)
                 continue
             chunk = shard.collect()
-            self.barrier.arrive(shard.index)
             self.sequencer.feed(
                 shard.index, chunk.records, chunk.lines, chunk.pauses
             )
             self._peeks[shard.index] = chunk.peek
             total += len(chunk.records)
+        self.committed_edge = edge
         merged = self.sequencer.merge_available()
         if merged != total:  # pragma: no cover - sequencer invariant
             raise ShardError(f"merged {merged} of {total} window records")
         self.windows_run += 1
-        # Window sizing is pure pacing; correctness is window-invariant.
+        # Window sizing bounds merge memory; correctness is window-invariant.
         if total < _WINDOW_TARGET_LO:
             self._window_s *= 4.0
         elif total > _WINDOW_TARGET_HI:
@@ -504,13 +467,13 @@ class LockstepDriver:
 class ShardedScenarioRun:
     """A sharded scenario mid-flight — the sharded checkpoint seam.
 
-    The in-process form pickles whole (shard states + sequencer + barrier),
+    The in-process form pickles whole (shard states + sequencer + driver),
     so :class:`repro.replay.Snapshot` SIGKILL-resume works sharded: capture
     between windows, restore in a fresh process, :meth:`finish`, and every
     digest matches the uninterrupted run.
     """
 
-    def __init__(self, spec: "ScenarioSpec", processes: bool = False) -> None:
+    def __init__(self, spec: ScenarioSpec, processes: bool = False) -> None:
         shards = spec.shards
         if shards < 2:
             raise ShardError(f"sharded run needs shards >= 2, got {shards}")
@@ -518,9 +481,6 @@ class ShardedScenarioRun:
         self.spec = spec
         self.plan = plan_partition(
             spec.topology, spec.jobs, shards, spec.fault_schedule, spec.churn
-        )
-        self.lookahead_s = lookahead_s(
-            self.plan, spec.topology, spec.config or _default_config()
         )
         self.processes = processes
         self.sequencer = GlobalSequencer(
@@ -554,10 +514,6 @@ class ShardedScenarioRun:
         return self.driver.shards
 
     @property
-    def barrier(self) -> WindowBarrier:
-        return self.driver.barrier
-
-    @property
     def windows_run(self) -> int:
         return self.driver.windows_run
 
@@ -571,7 +527,7 @@ class ShardedScenarioRun:
     def run_until(self, until: float) -> None:
         """Advance windows until the committed edge passes ``until`` (or
         the run drains); leaves the run at a snapshot-safe point."""
-        while not self.drained and self.barrier.committed_edge < until:
+        while not self.drained and self.driver.committed_edge < until:
             self.advance_window()
 
     def snapshot(self):
@@ -594,9 +550,7 @@ class ShardedScenarioRun:
 
     # -- completion --------------------------------------------------------
 
-    def finish(self) -> "ScenarioResult":
-        from ..api import ReplayInfo, ScenarioResult
-
+    def finish(self) -> ScenarioResult:
         if self.finished:
             raise RuntimeError("scenario already finished")
         self.finished = True
@@ -612,20 +566,6 @@ class ShardedScenarioRun:
         for payload in payloads:
             for name, count in payload["membership"].items():
                 membership[name] = membership.get(name, 0) + count
-        repeels = []
-        failovers = []
-        for shard, payload in zip(self.shards, payloads):
-            rename = sequencer.name_map[shard.index]
-            repeels.extend(
-                r._replace(transfer=rename.get(r.transfer, r.transfer))
-                for r in payload["repeels"]
-            )
-            failovers.extend(
-                f._replace(transfer=rename.get(f.transfer, f.transfer))
-                for f in payload["failovers"]
-            )
-        repeels.sort(key=lambda r: r.time_s)
-        failovers.sort(key=lambda f: f.time_s)
         violations = [v for payload in payloads for v in payload["violations"]]
         violations.sort(key=lambda v: v.time_s)
         obs = spec.obs
@@ -642,17 +582,12 @@ class ShardedScenarioRun:
         return ScenarioResult(
             scheme=spec.scheme_name,
             ccts=ccts,
-            total_bytes=sum(p["total_bytes"] for p in payloads),
-            wasted_bytes=sum(p["wasted_bytes"] for p in payloads),
-            pfc_pause_events=sum(p["pfc_pause_events"] for p in payloads),
             invariant_violations=violations,
             trace_digest=(
                 sequencer.trace_digest()
                 if (spec.record_trace or spec.keep_trace_events)
                 else None
             ),
-            failure_drops=sum(p["failure_drops"] for p in payloads),
-            repeels=repeels,
             replay=ReplayInfo(
                 resumed=self.resumed_at_s is not None,
                 resumed_at_s=self.resumed_at_s,
@@ -662,23 +597,28 @@ class ShardedScenarioRun:
                     digest.hexdigest() if digest is not None else None
                 ),
             ),
-            failovers=failovers,
             protection=spec.protection,
-            backup_tcam_entries=sum(p["backup_entries"] for p in payloads),
-            backup_tcam_peak_per_switch=max(
-                (p["backup_peak"] for p in payloads), default=0
-            ),
-            static_rule_budget=max(
-                (p["static_rule_budget"] for p in payloads), default=0
-            ),
             membership=membership,
-            header_overhead_bytes=sum(
-                p["header_overhead_bytes"] for p in payloads
-            ),
-            per_group_tcam_peak=max(
-                (p["group_tcam_peak"] for p in payloads), default=0
-            ),
+            **self._merge_accounts(payloads),
         )
+
+    def _merge_accounts(self, payloads: list[dict]) -> dict:
+        """Fold the shards' :func:`~repro.api.fabric_accounting` into the
+        serial run's: fault-handling events renamed to their global
+        transfer names and time-sorted, scalars summed or maxed."""
+        accounts = [payload["accounting"] for payload in payloads]
+        merged = {}
+        for key in ("repeels", "failovers"):
+            events = [
+                event._replace(transfer=self.sequencer.rename(shard.index, event.transfer))
+                for shard, account in zip(self.shards, accounts)
+                for event in account[key]
+            ]
+            merged[key] = sorted(events, key=lambda event: event.time_s)
+        for key in accounts[0].keys() - merged.keys():
+            fold = max if key in PEAK_FIELDS else sum
+            merged[key] = fold(account[key] for account in accounts)
+        return merged
 
     @property
     def trace_events(self) -> list[str] | None:
@@ -687,13 +627,7 @@ class ShardedScenarioRun:
         return self.sequencer.kept_lines
 
 
-def _default_config():
-    from ..sim import SimConfig
-
-    return SimConfig()
-
-
-def run_sharded(spec: "ScenarioSpec", processes: bool = False) -> "ScenarioResult":
+def run_sharded(spec: ScenarioSpec, processes: bool = False) -> ScenarioResult:
     """Run ``spec`` across ``spec.shards`` workers, byte-identical to
     :func:`repro.api.run` of the same spec with ``shards=1``."""
     return ShardedScenarioRun(spec, processes=processes).finish()

@@ -177,7 +177,7 @@ class GlobalSequencer:
 
     def merge_available(self) -> int:
         """Merge every queued record.  Correct whenever the caller has
-        advanced all shards to a common barrier edge (all records at or
+        advanced all shards to a common window edge (all records at or
         before the edge are present) — the window property."""
         heap: list = []
         for shard in range(self.num_shards):

@@ -11,9 +11,10 @@ the runtime, not in collective handles, so the merge differs:
   shard's territory, so per-switch occupancy, admission decisions and
   cache hit patterns are *identical* to the serial run's — per-shard
   counters sum exactly;
-* job records ship back as plain tuples tagged with the global submit
-  index; the coordinator rebuilds the report (per-tenant SLO rows, global
-  span, goodput) in global order, byte-identical to serial ``report()``;
+* job records ship back as :class:`~repro.serve.runtime.JobRow` tuples
+  tagged with the global submit index; the coordinator folds them in
+  global order through the same :func:`~repro.serve.runtime.summarize_tenants`
+  as serial ``report()``, so the report is byte-identical;
 * a populated FIFO queue would couple admission order across shards, so a
   sharded serve *requires* an admit-on-arrival regime and errors out if
   any shard ever queued a job (``total_queued != 0``).
@@ -29,17 +30,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..collectives import SchemeSpec, resolve_scheme
-from ..metrics import summarize_slo
 from ..serve.runtime import (
     DATAPLANE,
     ServeReport,
     ServeRuntime,
     resolve_serving_scheme,
+    summarize_tenants,
 )
 from .errors import ShardError
 from .partition import ShardPlan, plan_partition
 from .record import RecordingSimulator, ShardTraceRecorder
-from .runner import LocalShard, LockstepDriver, ProcessShard
+from .runner import LocalShard, LockstepDriver, ProcessShard, ShardState
 from .sequencer import GlobalSequencer
 
 __all__ = [
@@ -89,62 +90,20 @@ class ServeShardSpec:
         object.__setattr__(self, "jobs", tuple(self.jobs))
 
 
-class ServeShardState:
+class ServeShardState(ShardState):
     """One shard's live serve runtime plus its submit segments."""
 
+    label = "serve shard"
+
     def __init__(self, index: int, runtime: ServeRuntime, job_indices) -> None:
-        self.index = index
+        super().__init__(index)
         self.runtime = runtime
-        self.sim: RecordingSimulator = runtime.env.sim
+        self.env = runtime.env
+        self.sim = runtime.env.sim
         #: global submit index per local record (record i of this runtime
         #: is global job ``job_indices[i]``).
         self.job_indices = list(job_indices)
-        self.segments: list[tuple] = [(1, g, 1, [], None) for g in self.job_indices]
-        self.territory: set[str] = set()
-        self._rng_marks: tuple = ()
-
-    def take_pauses(self) -> dict:
-        return {}
-
-    def mark_rngs(self) -> None:
-        env = self.runtime.env
-        self._rng_marks = (
-            env.network.rng.getstate(),
-            env.rng.getstate(),
-            env.router.rng.getstate(),
-            env.controller.rng.getstate(),
-        )
-
-    def check_rngs(self) -> None:
-        env = self.runtime.env
-        names = ("network", "env", "router", "controller")
-        current = (
-            env.network.rng.getstate(),
-            env.rng.getstate(),
-            env.router.rng.getstate(),
-            env.controller.rng.getstate(),
-        )
-        for name, before, after in zip(names, self._rng_marks, current):
-            if before != after:
-                raise ShardError(
-                    f"serve shard {self.index} drew from the {name} RNG "
-                    "mid-run; the serial run would interleave those draws "
-                    "globally — run this campaign serially"
-                )
-
-    def check_containment(self) -> None:
-        for transfer in self.runtime.env.network.transfers:
-            trees = list(transfer.static_trees)
-            if transfer.refined_tree is not None:
-                trees.append(transfer.refined_tree)
-            for tree in trees:
-                stray = tree.nodes - self.territory
-                if stray:
-                    raise ShardError(
-                        f"transfer {transfer.name} on serve shard "
-                        f"{self.index} crossed into {sorted(stray)[:4]}; "
-                        "partition not traffic-closed"
-                    )
+        self.segments = [(1, g, 1, [], None) for g in self.job_indices]
 
 
 def build_serve_shard(
@@ -192,15 +151,12 @@ def build_serve_shard(
         runtime.submit(sspec.jobs[g])
         if sim._seq - seq0 != 1:  # pragma: no cover - submit is 1 schedule
             raise ShardError("submit scheduled an unexpected event count")
-    state.territory = plan.nodes_for(shard_index, sspec.topology)
-    state.mark_rngs()
+    state.mark(plan.nodes_for(shard_index, sspec.topology))
     return state
 
 
 def finalize_serve_shard(state: ServeShardState) -> dict:
     runtime = state.runtime
-    if state.sim.peek_time() is not None:
-        raise ShardError(f"serve shard {state.index} still has pending events")
     if runtime.total_queued:
         raise ShardError(
             f"serve shard {state.index} queued {runtime.total_queued} jobs; "
@@ -215,8 +171,7 @@ def finalize_serve_shard(state: ServeShardState) -> dict:
             "which per-shard caches cannot reproduce — raise plan_cache_size "
             "past the campaign's working set or run serially"
         )
-    state.check_rngs()
-    state.check_containment()
+    state.prove()
     violations = runtime.finalize_checks()
     if violations:
         raise RuntimeError(
@@ -228,19 +183,7 @@ def finalize_serve_shard(state: ServeShardState) -> dict:
             raise ShardError(
                 f"job {g} on shard {state.index} ended {record.status!r}"
             )
-        records.append(
-            (
-                g,
-                record.job.tenant,
-                record.status,
-                record.job.arrival_s,
-                record.completed_s,
-                record.cct_s,
-                record.queue_delay_s,
-                record.delivered_bytes,
-            )
-        )
-    cache = runtime.env.plan_cache
+        records.append(record.row()._replace(index=g))
     return {
         "records": records,
         "cache": (
@@ -330,41 +273,11 @@ class ShardedServe:
 
     def _rebuild_report(self, rows: list, payloads: list) -> ServeReport:
         """Serial ``ServeRuntime.report()`` over globally-ordered rows."""
-        if not rows:
-            raise RuntimeError("nothing submitted; cannot summarize SLOs")
-        done = [r for r in rows if r[2] == "done"]
-        first = min(r[3] for r in rows)
-        end = max((r[4] for r in done), default=first)
-        span = max(end - first, 1e-9)
-
-        def summary(tag, records, rejected):
-            return summarize_slo(
-                tag,
-                [r[5] for r in records],
-                [r[6] for r in records],
-                rejected,
-                sum(r[7] for r in records),
-                span,
-            )
-
-        tenants: dict[str, list] = {}
-        rejects: dict[str, int] = {}
-        for row in rows:
-            tenant = row[1]
-            tenants.setdefault(tenant, [])
-            rejects.setdefault(tenant, 0)
-            if row[2] == "done":
-                tenants[tenant].append(row)
-            else:
-                rejects[tenant] += 1
-        tenant_rows = [
-            summary(tenant, records, rejects[tenant])
-            for tenant, records in sorted(tenants.items())
-        ]
+        tenants, total = summarize_tenants(rows)
         return ServeReport(
             scheme=self.scheme_name,
-            tenants=tenant_rows,
-            total=summary("TOTAL", done, len(rows) - len(done)),
+            tenants=tenants,
+            total=total,
             queued_jobs=0,  # finalize_serve_shard rejects any queueing
             cache_hits=sum(p["cache"][0] for p in payloads),
             cache_misses=sum(p["cache"][1] for p in payloads),

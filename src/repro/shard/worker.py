@@ -11,12 +11,20 @@ side)::
         recv ("finalize",)       -> send ("final", payload); exit
 
 Any exception turns into ``("error", message)`` and a clean exit; the
-coordinator raises it as a :class:`~repro.shard.errors.ShardError`.
+coordinator raises it as a :class:`~repro.shard.errors.ShardError`.  EOF
+on the pipe (the coordinator closed its end) ends the worker quietly.
 """
 
 from __future__ import annotations
 
-__all__ = ["shard_worker_main"]
+import weakref
+
+__all__ = ["COORDINATOR_CONNS", "shard_worker_main"]
+
+#: The coordinator's ends of the live worker pipes.  A forked worker
+#: inherits copies of them all; unless it closes those, a coordinator-side
+#: close never reaches a worker as EOF.
+COORDINATOR_CONNS: weakref.WeakSet = weakref.WeakSet()
 
 
 def _build(build_request: tuple):
@@ -35,6 +43,8 @@ def _build(build_request: tuple):
 
 
 def shard_worker_main(conn, build_request: tuple) -> None:
+    for inherited in list(COORDINATOR_CONNS):
+        inherited.close()
     try:
         state, finalize_fn = _build(build_request)
         sim = state.sim

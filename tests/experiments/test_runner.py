@@ -1,8 +1,8 @@
-"""Scenario runner behaviour."""
+"""Scenario runner behaviour through ``repro.api.run``."""
 
 import pytest
 
-from repro.experiments import run_broadcast_scenario, segment_bytes_for
+from repro.api import ScenarioSpec, run, segment_bytes_for
 from repro.sim import SimConfig
 from repro.topology import LeafSpine
 from repro.workloads import generate_jobs
@@ -17,10 +17,19 @@ def small_setup():
     return topo, jobs
 
 
+def run_scenario(topo, scheme, jobs, **options):
+    return run(
+        ScenarioSpec(
+            topology=topo, scheme=scheme, jobs=tuple(jobs), config=SimConfig(),
+            **options,
+        )
+    )
+
+
 class TestRunner:
     def test_returns_all_ccts(self, small_setup):
         topo, jobs = small_setup
-        result = run_broadcast_scenario(topo, "peel", jobs, SimConfig())
+        result = run_scenario(topo, "peel", jobs)
         assert len(result.ccts) == len(jobs)
         assert all(c > 0 for c in result.ccts)
         assert result.total_bytes > 0
@@ -29,19 +38,19 @@ class TestRunner:
         from repro.collectives import RingBroadcast
 
         topo, jobs = small_setup
-        result = run_broadcast_scenario(topo, RingBroadcast(), jobs, SimConfig())
+        result = run_scenario(topo, RingBroadcast(), jobs)
         assert result.scheme == "ring"
 
     def test_same_workload_is_reproducible(self, small_setup):
         topo, jobs = small_setup
-        a = run_broadcast_scenario(topo, "optimal", jobs, SimConfig())
-        b = run_broadcast_scenario(topo, "optimal", jobs, SimConfig())
+        a = run_scenario(topo, "optimal", jobs)
+        b = run_scenario(topo, "optimal", jobs)
         assert a.ccts == b.ccts
 
     def test_stall_detection(self, small_setup):
         topo, jobs = small_setup
         with pytest.raises(RuntimeError, match="never completed"):
-            run_broadcast_scenario(topo, "optimal", jobs, SimConfig(), max_events=3)
+            run_scenario(topo, "optimal", jobs, max_events=3)
 
 
 class TestSegmentSizing:
@@ -82,15 +91,13 @@ class TestSegmentSizing:
 class TestCorrectnessWiring:
     def test_invariants_clean_on_small_scenario(self, small_setup):
         topo, jobs = small_setup
-        result = run_broadcast_scenario(
-            topo, "peel", jobs, SimConfig(), check_invariants=True
-        )
+        result = run_scenario(topo, "peel", jobs, check_invariants=True)
         assert result.invariant_violations == []
         assert result.failure_drops == 0
         assert result.repeels == []
 
     def test_defaults_skip_correctness_tooling(self, small_setup):
         topo, jobs = small_setup
-        result = run_broadcast_scenario(topo, "peel", jobs, SimConfig())
+        result = run_scenario(topo, "peel", jobs)
         assert result.invariant_violations == []
         assert result.trace_digest is None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.runner import segment_bytes_for
+from repro.api import segment_bytes_for
 from repro.serve import (
     CompositeAdmission,
     Decision,

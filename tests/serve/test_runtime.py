@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api import segment_bytes_for
 from repro.collectives import Gpu, Group
-from repro.experiments.runner import segment_bytes_for
 from repro.faults import FaultSchedule
 from repro.serve import (
     CompositeAdmission,

@@ -8,12 +8,10 @@ from repro.control import ChurnEvent, ChurnSchedule
 from repro.shard import (
     CORE_ZONE,
     ShardPartitionError,
-    lookahead_s,
     plan_partition,
     pod_local_jobs,
     zone_of,
 )
-from repro.sim import SimConfig
 from repro.topology import FatTree
 from repro.workloads import CollectiveJob
 
@@ -113,23 +111,6 @@ class TestPlanPartition:
                                           host=jobs[0].group.members[-1].host),))
         with pytest.raises(ShardPartitionError, match="targets job 3"):
             plan_partition(topo, jobs, 1, churn=churn)
-
-
-class TestLookahead:
-    def test_single_shard_partition_has_infinite_lookahead(self):
-        topo = FatTree(4)
-        jobs = [pod_job(topo, p) for p in range(4)]
-        plan = plan_partition(topo, jobs, 1)
-        assert lookahead_s(plan, topo, SimConfig()) == float("inf")
-
-    def test_split_partition_lookahead_is_link_propagation(self):
-        topo = FatTree(4)
-        jobs = [pod_job(topo, p) for p in range(4)]
-        plan = plan_partition(topo, jobs, 2)
-        config = SimConfig()
-        # Pod-to-core links physically cross shards even though no
-        # traffic does, so the conservative bound is one propagation.
-        assert lookahead_s(plan, topo, config) == config.propagation_delay_s
 
 
 class TestPodLocalJobs:

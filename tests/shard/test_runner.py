@@ -11,6 +11,8 @@ from repro.replay import Snapshot
 from repro.shard import ShardedScenarioRun, ShardError, validate_spec
 from repro.sim import SimConfig
 
+from .specs import ecn_drawing_spec
+
 
 @pytest.fixture(scope="module")
 def golden():
@@ -48,6 +50,15 @@ class TestGoldenScenario:
         sharded_run = ShardedScenarioRun(kept)
         sharded_run.finish()
         assert sharded_run.trace_events == serial_run.env.trace.events
+
+    def test_closing_an_unfinished_process_run_ends_its_workers(self, golden):
+        """Each worker closes the coordinator pipe ends it inherited, so
+        closing a shard reaches its worker as EOF and it exits cleanly."""
+        spec, _, _ = golden
+        sharded_run = ShardedScenarioRun(spec, processes=True)
+        for shard in sharded_run.shards:
+            shard.close()
+        assert [shard._proc.exitcode for shard in sharded_run.shards] == [0, 0]
 
     def test_windows_advance_and_drain(self, golden):
         spec, _, _ = golden
@@ -113,6 +124,10 @@ class TestRefusals:
         bad = dataclasses.replace(spec, config=lossy)
         with pytest.raises(ShardError, match="loss_probability"):
             validate_spec(bad)
+
+    def test_network_rng_draw_refused_after_the_run(self):
+        with pytest.raises(ShardError, match="shard 1 drew from the network RNG"):
+            run(ecn_drawing_spec())
 
     def test_refusal_happens_at_run_time_too(self, golden):
         spec, _, _ = golden

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.serve import ServeRuntime
+from repro.serve import LinkLoadAdmission, ServeRuntime
 from repro.serve.cache import PlanCache
 from repro.shard import (
     SHARDABLE_SERVE_SCHEMES,
@@ -41,6 +41,21 @@ def campaign():
     serial.submit_all(list(jobs))
     serial.run()
     return sspec, serial
+
+
+def _loaded_campaign(message_bytes: int) -> ServeShardSpec:
+    topo = FatTree(4)
+    jobs = pod_local_jobs(
+        topo, 3, 3, message_bytes, seed=0, tenants=("train", "infer"),
+        offered_load=0.9,
+    )
+    return ServeShardSpec(
+        topology=topo,
+        scheme="peel",
+        jobs=tuple(jobs),
+        shards=2,
+        config=SimConfig(segment_bytes=64 * KB, seed=0),
+    )
 
 
 class TestShardedServe:
@@ -91,6 +106,21 @@ class TestServeRefusals:
         assert "orca" not in SHARDABLE_SERVE_SCHEMES
         with pytest.raises(ShardError, match="not shardable"):
             ShardedServe(dataclasses.replace(sspec, scheme="orca"))
+
+    def test_network_rng_draw_refused(self):
+        """At 0.9 load, 256 KB jobs queue into the ECN band; ramp marking
+        draws the shared fabric RNG, which per-shard runs cannot order."""
+        with pytest.raises(ShardError, match="serve shard 1 drew from the network RNG"):
+            serve_sharded(_loaded_campaign(256 * KB))
+
+    def test_queued_job_refused(self):
+        """A link-load cap of one message makes arrivals wait in the FIFO,
+        whose order couples admission across shards."""
+        loaded = dataclasses.replace(
+            _loaded_campaign(64 * KB), admission=LinkLoadAdmission(64 * KB)
+        )
+        with pytest.raises(ShardError, match="serve shard 0 queued 4 jobs"):
+            serve_sharded(loaded)
 
     def test_plan_cache_eviction_refused(self, campaign):
         """A shard that evicts cache entries cannot reproduce the serial

@@ -52,41 +52,35 @@ class TestMain:
 
     def test_fig7_tiny(self, capsys):
         assert main(["fig7", "--failures", "4", "--num-jobs", "4",
-                     "--jobs", "1"]) == 0
+                     "--workers", "1"]) == 0
         assert "peel" in capsys.readouterr().out
 
     def test_fig7_with_invariants(self, capsys):
         assert main(
-            ["fig7", "--failures", "4", "--num-jobs", "2", "--jobs", "1",
+            ["fig7", "--failures", "4", "--num-jobs", "2", "--workers", "1",
              "--check-invariants"]
         ) == 0
         assert "peel" in capsys.readouterr().out
 
     def test_fig7_parallel_workers(self, capsys):
         assert main(["fig7", "--failures", "4", "--num-jobs", "2",
-                     "--jobs", "2"]) == 0
+                     "--workers", "2"]) == 0
         assert "peel" in capsys.readouterr().out
 
     def test_workers_flag(self, capsys):
-        """``--workers``/``-j`` is the documented spelling; ``--jobs``
-        stays as a hidden alias for old scripts."""
+        """``--workers``/``-j`` is the one spelling of the worker count."""
         assert main(["fig7", "--failures", "4", "--num-jobs", "2",
                      "--workers", "1"]) == 0
         assert "peel" in capsys.readouterr().out
         args = build_parser().parse_args(["fig7", "-j", "2"])
         assert args.workers == 2
-        assert build_parser().parse_args(["fig7", "--jobs", "3"]).workers == 3
 
-    def test_jobs_alias_warns_exactly_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            args = build_parser().parse_args(["fig7", "--jobs", "3"])
-        assert args.workers == 3
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "-j/--workers" in str(deprecations[0].message)
+    def test_jobs_flag_is_gone(self, capsys):
+        """``--jobs`` is neither a flag nor an abbreviation of one."""
+        with pytest.raises(SystemExit) as exc:
+            main(["fig7", "--jobs", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 3" in capsys.readouterr().err
 
     def test_workers_flag_never_warns(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -96,28 +90,6 @@ class TestMain:
         assert [
             w for w in caught if issubclass(w.category, DeprecationWarning)
         ] == []
-
-    def test_jobs_alias_byte_identical_to_workers(self, capsys):
-        assert main(["failover", "--protection", "0", "--workers", "1"]) == 0
-        via_workers = capsys.readouterr().out
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert main(
-                ["failover", "--protection", "0", "--jobs", "1"]
-            ) == 0
-        assert capsys.readouterr().out == via_workers
-
-    def test_jobs_alias_hidden_from_help(self):
-        import argparse
-
-        parser = build_parser()
-        sub = next(
-            a for a in parser._actions
-            if isinstance(a, argparse._SubParsersAction)
-        )
-        fig7_help = sub.choices["fig7"].format_help()
-        assert "--workers" in fig7_help
-        assert "--jobs" not in fig7_help
 
     def test_failover_sweep(self, capsys):
         assert main(["failover", "--protection", "0", "1", "-j", "1"]) == 0
@@ -152,7 +124,7 @@ class TestMain:
 
     def test_serve_tiny(self, capsys):
         assert main(
-            ["serve", "--loads", "0.5", "--num-jobs", "12", "--jobs", "1",
+            ["serve", "--loads", "0.5", "--num-jobs", "12", "--workers", "1",
              "--schemes", "peel"]
         ) == 0
         out = capsys.readouterr().out
