@@ -1,6 +1,6 @@
 """Allgather: the multi-group extension (each rank multicasts its shard)."""
 
-from repro.collectives import CollectiveEnv, Gpu, Group, scheme_by_name
+from repro.collectives import CollectiveEnv, Gpu, Group, resolve_scheme
 from repro.sim import SimConfig
 from repro.topology import FatTree
 
@@ -10,7 +10,7 @@ def _run_allgather(name: str, num_hosts: int, message_bytes: int):
     env = CollectiveEnv(topo, SimConfig(segment_bytes=262144))
     hosts = sorted(topo.hosts)[:num_hosts]
     gpus = tuple(Gpu(h, 0) for h in hosts)
-    handle = scheme_by_name(name).launch(env, Group(gpus[0], gpus), message_bytes, 0.0)
+    handle = resolve_scheme(name).launch(env, Group(gpus[0], gpus), message_bytes, 0.0)
     env.run()
     assert handle.complete
     return handle.cct_s, env.network.total_bytes_sent()

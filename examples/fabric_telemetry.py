@@ -8,7 +8,7 @@ multicast tree barely touches.
 Run:  python examples/fabric_telemetry.py
 """
 
-from repro.collectives import CollectiveEnv, Gpu, Group, scheme_by_name
+from repro.collectives import CollectiveEnv, Gpu, Group, resolve_scheme
 from repro.sim import SimConfig, fabric_summary, format_summary
 from repro.topology import FatTree
 
@@ -21,7 +21,7 @@ def main() -> None:
         env = CollectiveEnv(fabric, SimConfig(segment_bytes=262144))
         hosts = sorted(fabric.hosts)[:128]
         gpus = tuple(Gpu(h, 0) for h in hosts)
-        handle = scheme_by_name(name).launch(
+        handle = resolve_scheme(name).launch(
             env, Group(gpus[0], gpus), 32 * MB, arrival_s=0.0
         )
         env.run()

@@ -12,7 +12,7 @@ way (conservation, PFC quotas, exactly-once delivery, no deadlock).
 Run:  python examples/midstream_failure.py
 """
 
-from repro.collectives import CollectiveEnv, Gpu, Group, scheme_by_name
+from repro.collectives import CollectiveEnv, Gpu, Group, resolve_scheme
 from repro.core import Peel
 from repro.faults import FaultSchedule
 from repro.sim import SimConfig
@@ -45,7 +45,7 @@ def run(fault_schedule=None, label="clean"):
         fault_schedule=fault_schedule,
         check_invariants=True,
     )
-    handle = scheme_by_name("peel").launch(env, group, MESSAGE, 0.0)
+    handle = resolve_scheme("peel").launch(env, group, MESSAGE, 0.0)
     env.run()
     violations = env.finalize_checks()
 

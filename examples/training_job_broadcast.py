@@ -13,7 +13,9 @@ from repro import ScenarioSpec, run
 from repro.experiments.common import MB, paper_fattree, sim_config
 from repro.workloads import generate_jobs
 
-SCHEMES = ("optimal", "peel", "peel+cores", "orca", "ring", "tree")
+SCHEMES = (
+    "optimal", "peel", "peel:programmable_cores=true", "orca", "ring", "tree",
+)
 
 
 def main() -> None:
@@ -44,7 +46,7 @@ def main() -> None:
         ))
         if scheme == "optimal":
             baseline = result.stats.mean_s
-        print(f"{scheme:<12}{result.stats.mean_s * 1e3:>15.2f}"
+        print(f"{result.scheme:<12}{result.stats.mean_s * 1e3:>15.2f}"
               f"{result.stats.p99_s * 1e3:>15.2f}"
               f"{result.total_bytes / 2**30:>12.1f}")
     print(f"\n(optimal mean = {baseline * 1e3:.2f} ms is the bandwidth floor)")

@@ -47,7 +47,7 @@ import time
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-from repro.collectives import CollectiveEnv, scheme_by_name  # noqa: E402
+from repro.collectives import CollectiveEnv, resolve_scheme  # noqa: E402
 from repro.faults import FaultSchedule  # noqa: E402
 from repro.serve import (  # noqa: E402
     CompositeAdmission,
@@ -106,7 +106,7 @@ def bench_headline(quick: bool):
     jobs = generate_jobs(
         topo, num_jobs, num_gpus, msg, offered_load=0.3, gpus_per_host=1, seed=7
     )
-    scheme = scheme_by_name("peel")
+    scheme = resolve_scheme("peel")
 
     def once() -> int:
         env = CollectiveEnv(topo, cfg)
@@ -169,7 +169,7 @@ def bench_failure(quick: bool):
     cfg = SimConfig(segment_bytes=_segment_bytes_for(msg), seed=3)
     jobs = generate_jobs(topo, 1, 24, msg, gpus_per_host=1, seed=3)
     job = jobs[0]
-    scheme = scheme_by_name("peel")
+    scheme = resolve_scheme("peel")
 
     # Clean run to locate a loaded link and calibrate the flap window.
     env = CollectiveEnv(topo, cfg)
@@ -317,7 +317,7 @@ def bench_obs(quick: bool) -> dict | None:
     jobs = generate_jobs(
         topo, num_jobs, num_gpus, msg, offered_load=0.3, gpus_per_host=1, seed=7
     )
-    scheme = scheme_by_name("peel")
+    scheme = resolve_scheme("peel")
 
     def once(with_obs: bool) -> tuple[int, float]:
         import gc

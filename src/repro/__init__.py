@@ -42,7 +42,7 @@ from .collectives import (
     CollectiveEnv,
     Gpu,
     Group,
-    scheme_by_name,
+    resolve_scheme,
 )
 from .core import (
     Peel,
@@ -85,7 +85,7 @@ __all__ = [
     "CollectiveEnv",
     "Gpu",
     "Group",
-    "scheme_by_name",
+    "resolve_scheme",
     "Peel",
     "PeelPlan",
     "layer_peeling_tree",

@@ -77,11 +77,8 @@ class ScenarioSpec:
     it to prove a resumed run is event-for-event identical; it never
     changes behaviour, only observes it.
 
-    ``churn`` attaches a :class:`repro.control.ChurnSchedule` of timed
-    join/leave events (``event.group`` indexes into ``jobs``): mid-flight
-    joins graft the host onto the running transfer's trees and backfill
-    missed segments, leaves prune it.  Like dynamic faults, churn switches
-    the fabric to per-receiver segment tracking.
+    Membership changes to running groups go through the control plane
+    (:class:`repro.control.ControlPlane`), not through a scenario spec.
     """
 
     topology: Topology
@@ -99,8 +96,6 @@ class ScenarioSpec:
     #: pre-installed edge-disjoint backup subtrees; cuts on protected links
     #: fail over locally instead of waiting out the detection window.
     protection: int = 0
-    #: Timed membership churn (a ChurnSchedule or iterable of ChurnEvents).
-    churn: "object | None" = None
     #: Run the scenario across N parallel shards (see :mod:`repro.shard`):
     #: the fabric and workload are partitioned into traffic-closed slices
     #: advanced in lockstep windows, and the merged run is byte-identical
@@ -116,13 +111,6 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         # Accept any iterable of jobs; store the canonical tuple.
         object.__setattr__(self, "jobs", tuple(self.jobs))
-        if self.churn is not None:
-            from .control.membership import ChurnSchedule
-
-            if not isinstance(self.churn, ChurnSchedule):
-                object.__setattr__(
-                    self, "churn", ChurnSchedule(tuple(self.churn))
-                )
 
     @property
     def scheme_name(self) -> str:
@@ -173,9 +161,6 @@ class ScenarioResult:
     backup_tcam_entries: int = 0
     backup_tcam_peak_per_switch: int = 0
     static_rule_budget: int = 0
-    #: Membership-churn accounting (joins/leaves/grafts/prunes/full_repeels)
-    #: when the spec carried a churn schedule; empty otherwise.
-    membership: dict = field(default_factory=dict)
     #: Header bytes the scheme charged on the wire (source-routed schemes:
     #: encoding bytes × segments sent, retransmissions included); zero for
     #: schemes that carry no multicast encoding in the packet.
@@ -232,10 +217,6 @@ class ScenarioRun:
         obs = spec.obs
         if obs is not None:
             obs.attach(self.env.network)
-        if spec.churn is not None:
-            # Joins/leaves need per-receiver segment tracking (graft +
-            # backfill); must be set before any transfer is constructed.
-            self.env.network.fault_tolerant = True
         self.handles = []
         for i, job in enumerate(spec.jobs):
             # Per-job ECMP streams key on this index, not launch order.
@@ -246,12 +227,6 @@ class ScenarioRun:
         if obs is not None:
             for handle in self.handles:
                 obs.track_collective(handle)
-        self.churn_driver = None
-        if spec.churn is not None:
-            from .control.membership import ChurnDriver
-
-            self.churn_driver = ChurnDriver(self.env, spec.churn)
-            self.churn_driver.install(self.handles)
         self.resumed_at_s: float | None = None
         self.snapshots_taken = 0
         self.finished = False
@@ -300,14 +275,6 @@ class ScenarioRun:
             remaining = max(0, spec.max_events - env.sim.processed)
         env.run(max_events=remaining)
         obs = spec.obs
-        membership: dict = {}
-        if self.churn_driver is not None:
-            membership = dict(self.churn_driver.counters)
-            if obs is not None:
-                for name in sorted(membership):
-                    obs.registry.counter(f"membership.{name}").inc(
-                        membership[name]
-                    )
         if obs is not None:
             obs.observe_plan_cache(env.plan_cache)
             obs.finalize()
@@ -335,7 +302,6 @@ class ScenarioRun:
                 ),
             ),
             protection=env.protection,
-            membership=membership,
             **fabric_accounting(env, self.handles),
         )
 

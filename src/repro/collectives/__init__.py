@@ -2,9 +2,7 @@
 
 Every scheme module registers itself with ``@register_scheme`` at import
 time; :func:`resolve_scheme` turns a name, a ``"name:param=value"`` string,
-or a :class:`SchemeSpec` into a live instance.  Legacy spellings
-(``"peel+cores"``, ``"orca-nosetup"``) remain as registered aliases that
-emit one :class:`DeprecationWarning` per process.
+or a :class:`SchemeSpec` into a live instance.
 """
 
 from .allgather import PeelAllgather, RingAllgather, shard_bytes
@@ -16,12 +14,9 @@ from .multipath import StripedMulticastBroadcast
 from .orca import OrcaBroadcast
 from .registry import (
     SchemeSpec,
-    register_alias,
     register_scheme,
     registered_schemes,
-    reset_alias_warnings,
     resolve_scheme,
-    scheme_aliases,
 )
 from .ring import RingBroadcast
 from .sourcerouted import (
@@ -33,14 +28,6 @@ from .sourcerouted import (
     SourceRoutedBroadcast,
 )
 from .tree import BinaryTreeBroadcast
-
-
-def scheme_by_name(name: str) -> BroadcastScheme:
-    """Back-compat wrapper over :func:`resolve_scheme`: resolves any
-    registered scheme name, ``"name:param=value"`` spec string, or
-    :class:`SchemeSpec` through the scheme registry."""
-    return resolve_scheme(name)
-
 
 __all__ = [
     "PeelAllgather",
@@ -68,10 +55,6 @@ __all__ = [
     "IpMulticastBroadcast",
     "SchemeSpec",
     "register_scheme",
-    "register_alias",
     "registered_schemes",
-    "scheme_aliases",
-    "reset_alias_warnings",
     "resolve_scheme",
-    "scheme_by_name",
 ]

@@ -16,7 +16,7 @@ from ..sim import Transfer
 from ..steiner import MAX_EXACT_TERMINALS, exact_steiner_tree, metric_closure_tree
 from .base import BroadcastScheme, CollectiveHandle, Group
 from .env import CollectiveEnv
-from .registry import SchemeSpec, register_alias, register_scheme
+from .registry import register_scheme
 
 
 def _steiner_tree(env: CollectiveEnv, source: str, receivers: list[str]):
@@ -167,6 +167,3 @@ class PeelBroadcast(BroadcastScheme):
                 env.fault_injector.protect(transfer, plan.protection)
         transfer.start()
         return handle
-
-
-register_alias("peel+cores", SchemeSpec("peel", programmable_cores=True))

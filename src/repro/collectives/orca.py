@@ -19,7 +19,8 @@ from ..sim import Transfer
 from ..topology import addressing as addr
 from .base import BroadcastScheme, CollectiveHandle, Group
 from .env import CollectiveEnv
-from .registry import SchemeSpec, register_alias, register_scheme
+from .multicast import SteinerReplan, _steiner_tree
+from .registry import register_scheme
 
 GPUS_PER_SERVER = 8
 
@@ -67,22 +68,6 @@ class AgentFanout:
 
     def __call__(self, host: str, now: float) -> None:
         self.callbacks[host](host, now)
-
-
-class OrcaTrunkReplan:
-    """Controller fault reaction: recompute and re-install the trunk tree
-    for the agents still waiting."""
-
-    __slots__ = ("scheme", "env", "source")
-
-    def __init__(self, scheme: "OrcaBroadcast", env: CollectiveEnv,
-                 source: str) -> None:
-        self.scheme = scheme
-        self.env = env
-        self.source = source
-
-    def __call__(self, remaining: list[str]) -> list:
-        return [self.scheme._controller_tree(self.env, self.source, remaining)]
 
 
 @register_scheme(
@@ -145,7 +130,8 @@ class OrcaBroadcast(BroadcastScheme):
         remote_agents = sorted(a for a in agents.values() if a != source)
         trunk: Transfer | None = None
         if remote_agents:
-            tree = self._controller_tree(env, source, remote_agents)
+            # The controller computes a proper multicast tree to the agents.
+            tree = _steiner_tree(env, source, remote_agents)
             agent_callbacks = {}
             for rack, servers in racks.items():
                 agent = agents[rack]
@@ -171,9 +157,7 @@ class OrcaBroadcast(BroadcastScheme):
                 # and re-installing the trunk tree for the agents still
                 # waiting (the per-rack relay legs stay rack-local and are
                 # not registered, like other host-relay chains).
-                env.fault_injector.register(
-                    trunk, OrcaTrunkReplan(self, env, source)
-                )
+                env.fault_injector.register(trunk, SteinerReplan(env, source))
 
         # Per-rack fan-out: the agent unicasts to one representative NIC of
         # every other server in its rack; NVLink covers that server's rest.
@@ -213,18 +197,3 @@ class OrcaBroadcast(BroadcastScheme):
         if trunk is not None:
             trunk.start()
         return handle
-
-    def _controller_tree(self, env: CollectiveEnv, source: str, agents: list[str]):
-        """The controller computes a proper multicast tree to the agents."""
-        from ..steiner import MAX_EXACT_TERMINALS, exact_steiner_tree, metric_closure_tree
-
-        if env.topo.is_symmetric:
-            from ..core import optimal_symmetric_tree
-
-            return optimal_symmetric_tree(env.topo, source, agents)
-        if len(agents) + 1 <= MAX_EXACT_TERMINALS:
-            return exact_steiner_tree(env.topo.graph, source, agents)
-        return metric_closure_tree(env.topo.graph, source, agents)
-
-
-register_alias("orca-nosetup", SchemeSpec("orca", controller_overhead=False))

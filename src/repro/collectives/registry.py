@@ -1,22 +1,14 @@
 """Declarative scheme registry: ``@register_scheme`` plus a frozen
 :class:`SchemeSpec`.
 
-The collectives package used to expose a closed factory dict
-(``scheme_by_name``) whose ad-hoc string variants (``"peel+cores"``,
-``"orca-nosetup"``) could neither be parameterized nor extended without
-editing the package.  The registry replaces that surface:
-
 * scheme classes self-register with :func:`register_scheme`, declaring
   the constructor parameters they accept;
 * :class:`SchemeSpec` is a frozen, hashable, picklable value naming a
   registered scheme plus its parameters.  It is accepted everywhere a
-  scheme string used to be (:class:`repro.api.ScenarioSpec`,
+  scheme string is (:class:`repro.api.ScenarioSpec`,
   :class:`repro.serve.runtime.ServeRuntime`, the control plane, the CLI)
   and round-trips through the ``name:param=value,...`` string syntax
-  (``"elmo:header_bytes=64"``);
-* legacy spellings live on as :func:`register_alias` entries resolving
-  to canonical specs, each emitting one :class:`DeprecationWarning` per
-  process the first time it is used.
+  (``"elmo:header_bytes=64"``, ``"peel:programmable_cores=true"``).
 
 :func:`resolve_scheme` is the single entry point: it takes a scheme
 *instance*, a :class:`SchemeSpec`, or a string, and returns a constructed
@@ -25,7 +17,6 @@ editing the package.  The registry replaces that surface:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,12 +24,9 @@ from .base import BroadcastScheme
 
 __all__ = [
     "SchemeSpec",
-    "register_alias",
     "register_scheme",
     "registered_schemes",
-    "reset_alias_warnings",
     "resolve_scheme",
-    "scheme_aliases",
 ]
 
 
@@ -150,25 +138,14 @@ class SchemeSpec:
 
     @classmethod
     def coerce(cls, value) -> "SchemeSpec":
-        """A :class:`SchemeSpec` from a spec or string, resolving (and
-        warning once per process about) deprecated alias spellings."""
+        """A :class:`SchemeSpec` from a spec or a ``name:param=value``
+        string."""
         if isinstance(value, SchemeSpec):
             return value
         if not isinstance(value, str):
             raise TypeError(
                 f"expected a scheme name or SchemeSpec, got {type(value).__name__}"
             )
-        alias = _ALIASES.get(value)
-        if alias is not None:
-            if value not in _warned_aliases:
-                _warned_aliases.add(value)
-                warnings.warn(
-                    f"scheme name {value!r} is deprecated; use "
-                    f"{str(alias)!r} (SchemeSpec syntax) instead",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-            return alias
         return cls.parse(value)
 
 
@@ -185,8 +162,6 @@ class _SchemeEntry:
 
 
 _REGISTRY: dict[str, _SchemeEntry] = {}
-_ALIASES: dict[str, SchemeSpec] = {}
-_warned_aliases: set[str] = set()
 
 
 def register_scheme(
@@ -210,31 +185,14 @@ def register_scheme(
     return decorate
 
 
-def register_alias(alias: str, target: SchemeSpec) -> None:
-    """Register a deprecated spelling resolving to a canonical spec."""
-    if alias in _REGISTRY:
-        raise ValueError(f"{alias!r} is already a registered scheme name")
-    _ALIASES[alias] = target
-
-
 def registered_schemes() -> tuple[str, ...]:
-    """Canonical scheme names, sorted (aliases excluded)."""
+    """Registered scheme names, sorted."""
     return tuple(sorted(_REGISTRY))
-
-
-def scheme_aliases() -> dict[str, SchemeSpec]:
-    """The deprecated spellings and the canonical specs they resolve to."""
-    return dict(_ALIASES)
-
-
-def reset_alias_warnings() -> None:
-    """Forget which aliases have warned (tests exercising the one-shot)."""
-    _warned_aliases.clear()
 
 
 def resolve_scheme(scheme) -> BroadcastScheme:
     """Construct a scheme from an instance, a :class:`SchemeSpec`, or a
-    string (canonical ``name:param=value`` syntax or a registered alias)."""
+    ``name:param=value`` string."""
     if isinstance(scheme, BroadcastScheme):
         return scheme
     spec = SchemeSpec.coerce(scheme)

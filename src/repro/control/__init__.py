@@ -9,7 +9,7 @@ and checkpoint/replay infrastructure.  See DESIGN.md "Control plane".
 
 Layering:
 
-* :mod:`~repro.control.membership` — pure tree surgery + churn timelines;
+* :mod:`~repro.control.membership` — pure tree surgery + the re-peel policy;
 * :mod:`~repro.control.service` — :class:`ControlPlane` over the serving
   runtime (groups, epochs, cache/TCAM invalidation);
 * :mod:`~repro.control.replanner` — the congestion-watching app;
@@ -27,10 +27,7 @@ from .client import (
     SocketClient,
 )
 from .membership import (
-    ChurnDriver,
-    ChurnEvent,
     ChurnPolicy,
-    ChurnSchedule,
     MembershipError,
     covered_hosts,
     graft_host,
@@ -42,10 +39,7 @@ from .server import ControlServer, Dispatcher
 from .service import ControlError, ControlPlane, ManagedGroup
 
 __all__ = [
-    "ChurnDriver",
-    "ChurnEvent",
     "ChurnPolicy",
-    "ChurnSchedule",
     "CongestionReplanner",
     "ControlError",
     "ControlPlane",

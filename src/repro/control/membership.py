@@ -4,10 +4,10 @@ The paper's elasticity story (§3.2) is that PEEL's static prefix rules make
 group membership *cheap*: a joining ToR is usually already covered by some
 prefix-packet tree, so the controller grafts the host locally instead of
 re-planning.  This module is that controller logic, factored as pure
-functions over :class:`~repro.steiner.tree.MulticastTree` lists so both the
-:class:`~repro.control.service.ControlPlane` and the scenario-level
-:class:`ChurnDriver` share one implementation (and the hypothesis property
-test can compare it against a from-scratch re-peel directly):
+functions over :class:`~repro.steiner.tree.MulticastTree` lists: the
+:class:`~repro.control.service.ControlPlane` applies them to running
+collectives, and the hypothesis property test compares them against a
+from-scratch re-peel directly:
 
 * :func:`graft_host` — attach a joining host under its ToR when any
   installed tree already reaches it (the free case), else merge a shortest
@@ -15,15 +15,10 @@ test can compare it against a from-scratch re-peel directly):
 * :func:`prune_host` — detach a leaving host and strip the now-childless
   switch chain above it (other receivers' paths are never touched);
 * :class:`ChurnPolicy` — when accumulated deltas warrant a full re-peel.
-
-:class:`ChurnSchedule` / :class:`ChurnEvent` describe a join/leave/submit
-timeline the way :class:`repro.faults.FaultSchedule` describes link flaps:
-plain frozen values with a JSON round-trip, schedulable into a simulation.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -35,8 +30,6 @@ from ..topology.addressing import NodeKind, kind_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..topology import Topology
-
-CHURN_OPS = ("join", "leave", "submit")
 
 
 class MembershipError(ValueError):
@@ -202,196 +195,4 @@ class ChurnPolicy:
         return ops_since_plan > budget
 
 
-# -- churn timelines ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChurnEvent:
-    """One timed membership or submit operation against a group.
-
-    ``group`` is a group id in the control-plane service, or a job index in
-    the :class:`ChurnDriver` scenario path.  ``host`` names the joining or
-    leaving endpoint for membership ops; ``message_bytes`` sizes a
-    ``submit``.
-    """
-
-    at_s: float
-    group: int
-    op: str
-    host: str | None = None
-    message_bytes: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.op not in CHURN_OPS:
-            raise ValueError(f"op must be one of {CHURN_OPS}, got {self.op!r}")
-        if self.op in ("join", "leave") and not self.host:
-            raise ValueError(f"{self.op} event needs a host")
-        if self.op == "submit" and (
-            self.message_bytes is None or self.message_bytes <= 0
-        ):
-            raise ValueError("submit event needs positive message_bytes")
-        if self.at_s < 0:
-            raise ValueError("at_s must be non-negative")
-
-    def to_dict(self) -> dict:
-        out = {"at_s": self.at_s, "group": self.group, "op": self.op}
-        if self.host is not None:
-            out["host"] = self.host
-        if self.message_bytes is not None:
-            out["message_bytes"] = self.message_bytes
-        return out
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ChurnEvent":
-        return cls(
-            at_s=raw["at_s"],
-            group=raw["group"],
-            op=raw["op"],
-            host=raw.get("host"),
-            message_bytes=raw.get("message_bytes"),
-        )
-
-
-@dataclass(frozen=True)
-class ChurnSchedule:
-    """A time-ordered churn timeline, JSON round-trippable like
-    :class:`repro.faults.FaultSchedule`."""
-
-    events: tuple[ChurnEvent, ...] = ()
-
-    def __post_init__(self) -> None:
-        ordered = tuple(
-            sorted(self.events, key=lambda e: (e.at_s, e.group, e.op, e.host or ""))
-        )
-        object.__setattr__(self, "events", ordered)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [e.to_dict() for e in self.events], sort_keys=True
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChurnSchedule":
-        return cls(tuple(ChurnEvent.from_dict(raw) for raw in json.loads(text)))
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-
-    @classmethod
-    def load(cls, path) -> "ChurnSchedule":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
-
-
 MEMBERSHIP_COUNTERS = ("joins", "leaves", "grafts", "prunes", "full_repeels")
-
-
-class ChurnDriver:
-    """Applies join/leave churn to a live scenario's collectives.
-
-    The :class:`repro.api.ScenarioSpec` path: each event targets the job at
-    index ``event.group``; joins graft the host onto the running transfer's
-    trees (backfilling missed segments), leaves prune it.  Everything is a
-    bound-method simulator callback on a plain object, so checkpointed runs
-    replay churn byte-identically.
-    """
-
-    def __init__(self, env, schedule: ChurnSchedule, policy: ChurnPolicy | None = None):
-        self.env = env
-        self.schedule = schedule
-        self.policy = policy or ChurnPolicy()
-        self.handles: list = []
-        self.counters = dict.fromkeys(MEMBERSHIP_COUNTERS, 0)
-        self.ignored = 0
-        #: per-job (ops_since_plan, branch_grafts) toward the re-peel policy.
-        self._pressure: dict[int, list[int]] = {}
-
-    def install(self, handles: list) -> None:
-        """Bind the launched handles and schedule every churn event."""
-        if self.env.protection > 0:
-            raise MembershipError(
-                "churn cannot be combined with protection > 0: backup "
-                "subtrees are planned against launch-time trees, and a "
-                "grafted or pruned membership would silently void the "
-                "F-resilience guarantee"
-            )
-        self.handles = handles
-        for event in self.schedule:
-            if not 0 <= event.group < len(handles):
-                raise MembershipError(
-                    f"churn event targets job {event.group}, but the "
-                    f"scenario has {len(handles)} jobs"
-                )
-            if event.op == "submit":
-                raise MembershipError(
-                    "submit events need the control-plane service; scenario "
-                    "churn is join/leave only"
-                )
-            self.env.sim.schedule_at(event.at_s, self._apply, event)
-
-    # -- event application -----------------------------------------------------
-
-    def _count(self, name: str) -> None:
-        self.counters[name] += 1
-
-    def _apply(self, event: ChurnEvent) -> None:
-        handle = self.handles[event.group]
-        transfers = [t for t in handle.transfers if not t.complete]
-        if handle.complete or not transfers:
-            self.ignored += 1  # collective already finished: nothing to do
-            return
-        if event.op == "join":
-            self._join(event.group, handle, transfers, event.host)
-        else:
-            self._leave(handle, transfers, event.host)
-
-    def _join(self, index: int, handle, transfers, host: str) -> None:
-        self._count("joins")
-        for transfer in transfers:
-            if host in transfer.receivers or host == transfer.src_host:
-                continue
-            pressure = self._pressure.setdefault(index, [0, 0])
-            trees, kind = graft_host(
-                self.env.topo, transfer.static_trees, transfer.src_host, host
-            )
-            pressure[0] += 1
-            if kind == "branch":
-                pressure[1] += 1
-            if self.policy.needs_full_repeel(
-                pressure[0], pressure[1], len(transfer.receivers) + 1
-            ):
-                remaining = sorted(
-                    (transfer.receivers - transfer.finished_hosts) | {host}
-                )
-                trees = self.env.peel().plan(
-                    transfer.src_host, remaining
-                ).static_trees
-                self._pressure[index] = [0, 0]
-                self._count("full_repeels")
-            else:
-                self._count("grafts")
-            transfer.add_receiver(host)
-            handle.add_pending(host)
-            transfer.set_route_trees(trees)
-            transfer.catch_up(host)
-
-    def _leave(self, handle, transfers, host: str) -> None:
-        now = self.env.sim.now
-        self._count("leaves")
-        for transfer in transfers:
-            if host not in transfer.receivers:
-                continue
-            trees, changed = prune_host(transfer.static_trees, host)
-            transfer.remove_receiver(host)
-            handle.drop_pending(host, now)
-            if changed:
-                self._count("prunes")
-            if trees and not transfer.complete:
-                transfer.set_route_trees(trees)

@@ -27,7 +27,6 @@ from .prefix import (
 from .protection import BackupEntry, ProtectionPlan, build_protection
 from .refinement import ControllerModel, RefinementSchedule, core_rules_needed
 from .rules import ForwardingRule, PrefixRuleTable, preinstalled_rules, rule_count
-from .service import GroupClosedError, MulticastGroup, MulticastService
 from .symmetric import SymmetryError, optimal_symmetric_cost, optimal_symmetric_tree
 
 __all__ = [
@@ -59,9 +58,6 @@ __all__ = [
     "PrefixRuleTable",
     "preinstalled_rules",
     "rule_count",
-    "MulticastService",
-    "MulticastGroup",
-    "GroupClosedError",
     "ControllerModel",
     "RefinementSchedule",
     "core_rules_needed",

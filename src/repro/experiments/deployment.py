@@ -23,7 +23,7 @@ from .common import MB, paper_fattree, sim_config
 STAGES = (
     ("unicast", "ring"),
     ("static", "peel"),
-    ("cores", "peel+cores"),
+    ("cores", "peel:programmable_cores=true"),
     ("full", "optimal"),
 )
 
@@ -60,7 +60,7 @@ def run(
         )
         rows.append(
             DeploymentRow(
-                stage, scheme, result.stats.mean_s, result.stats.p99_s,
+                stage, result.scheme, result.stats.mean_s, result.stats.p99_s,
                 result.total_bytes,
             )
         )

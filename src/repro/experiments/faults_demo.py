@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..api import ScenarioSpec
 from ..api import run as run_scenario
-from ..collectives import scheme_by_name
+from ..collectives import resolve_scheme
 from ..core import Peel
 from ..faults import FaultSchedule
 from ..steiner import metric_closure_tree
@@ -26,7 +26,7 @@ from .common import MB, sim_config
 #: controller re-installs the trunk tree; its rack-local relay legs (like
 #: ring/tree relay chains) are not fault-recoverable.
 RECOVERABLE_SCHEMES = (
-    "peel", "peel+cores", "optimal", "orca",
+    "peel", "peel:programmable_cores=true", "optimal", "orca",
     "elmo", "bert", "rsbf", "lipsin", "ip-multicast",
 )
 
@@ -115,7 +115,7 @@ def run(
             f"scheme {scheme!r} does not re-plan on faults; "
             f"pick one of {RECOVERABLE_SCHEMES}"
         )
-    scheme_obj = scheme_by_name(scheme)
+    scheme_obj = resolve_scheme(scheme)
     topo = LeafSpine(spines, leaves, hosts_per_leaf)
     msg = message_mb * MB
     cfg = sim_config(msg, seed=seed)
@@ -152,7 +152,7 @@ def run(
         )
     )
     return FaultDemoResult(
-        scheme=scheme,
+        scheme=faulted.scheme,
         link=link,
         down_at_s=down_at,
         up_at_s=up_at,

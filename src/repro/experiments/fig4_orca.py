@@ -14,7 +14,7 @@ from .common import MB, CctRow, paper_fattree, sim_config
 from .parallel import ProgressFn, SweepPoint, run_sweep
 
 DEFAULT_SIZES_MB = (2, 8, 32, 128)
-SCHEMES = ("orca", "orca-nosetup")
+SCHEMES = ("orca", "orca:controller_overhead=false")
 
 
 def _point(
@@ -38,7 +38,7 @@ def _point(
             config=sim_config(msg),
         )
     )
-    return CctRow(scheme, size_mb, result.stats.mean_s, result.stats.p99_s)
+    return CctRow(result.scheme, size_mb, result.stats.mean_s, result.stats.p99_s)
 
 
 def grid(

@@ -15,7 +15,9 @@ from .common import MB, CctRow, paper_fattree, sim_config
 from .parallel import ProgressFn, SweepPoint, run_sweep
 
 DEFAULT_SIZES_MB = (2, 8, 32, 128, 512)
-DEFAULT_SCHEMES = ("ring", "tree", "optimal", "orca", "peel", "peel+cores")
+DEFAULT_SCHEMES = (
+    "ring", "tree", "optimal", "orca", "peel", "peel:programmable_cores=true",
+)
 
 
 def _point(
@@ -40,7 +42,7 @@ def _point(
             config=sim_config(msg), check_invariants=check_invariants,
         )
     )
-    return CctRow(scheme, size_mb, result.stats.mean_s, result.stats.p99_s)
+    return CctRow(result.scheme, size_mb, result.stats.mean_s, result.stats.p99_s)
 
 
 def grid(

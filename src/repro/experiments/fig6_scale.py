@@ -14,7 +14,9 @@ from .common import MB, CctRow, paper_fattree, sim_config
 from .parallel import ProgressFn, SweepPoint, run_sweep
 
 DEFAULT_SCALES = (32, 128, 256, 1024)
-DEFAULT_SCHEMES = ("ring", "tree", "optimal", "orca", "peel", "peel+cores")
+DEFAULT_SCHEMES = (
+    "ring", "tree", "optimal", "orca", "peel", "peel:programmable_cores=true",
+)
 
 
 def _point(
@@ -39,7 +41,7 @@ def _point(
             config=sim_config(msg), check_invariants=check_invariants,
         )
     )
-    return CctRow(scheme, scale, result.stats.mean_s, result.stats.p99_s)
+    return CctRow(result.scheme, scale, result.stats.mean_s, result.stats.p99_s)
 
 
 def grid(

@@ -17,16 +17,16 @@ with ``jobs=1`` and ``jobs=4`` and asserts byte-identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..api import ScenarioSpec
 from ..api import run as run_scenario
-from ..faults import FaultSchedule
 from ..obs import Observability
 from ..serve import ServeRuntime, TcamAdmission
 from ..topology import LeafSpine
 from ..workloads import TenantSpec, generate_jobs, generate_tenant_jobs
 from .common import sim_config
+from .scenarios import fault_scenario, headline_scenario
 
 KB = 1024
 
@@ -48,55 +48,35 @@ def _observability(sample_interval_s: float, detail: str) -> Observability:
     return Observability(sample_interval_s=sample_interval_s, detail=detail)
 
 
+def _observed(
+    scenario: str, spec: ScenarioSpec, sample_interval_s: float, detail: str
+) -> ObsResult:
+    """Run ``spec`` with observability attached and no other tooling."""
+    obs = _observability(sample_interval_s, detail)
+    run_scenario(
+        replace(spec, record_trace=False, check_invariants=False, obs=obs)
+    )
+    return _result(scenario, obs)
+
+
 def run_headline(
     sample_interval_s: float = 50e-6, detail: str = "segment"
 ) -> ObsResult:
     """Tiny PEEL broadcast batch (the headline bench, shrunk to fixture
-    size): 3 concurrent collectives on a 2x4 leaf-spine."""
-    topo = LeafSpine(2, 4, 2)
-    message_bytes = 256 * KB
-    cfg = sim_config(message_bytes, seed=1)
-    jobs = generate_jobs(
-        topo, 3, 6, message_bytes, offered_load=0.4, gpus_per_host=1, seed=1
-    )
-    obs = _observability(sample_interval_s, detail)
-    run_scenario(
-        ScenarioSpec(
-            topology=topo, scheme="peel", jobs=tuple(jobs), config=cfg,
-            obs=obs,
-        )
-    )
-    return _result("headline", obs)
+    size): the replay suite's headline scenario, 3 concurrent collectives
+    on a 2x4 leaf-spine."""
+    spec, _ = headline_scenario()
+    return _observed("headline", spec, sample_interval_s, detail)
 
 
 def run_fault(
     sample_interval_s: float = 50e-6, detail: str = "transfer"
 ) -> ObsResult:
-    """One broadcast with a spine link flapping mid-collective: the trace
-    shows the re-peel instant and the repair traffic it triggers."""
-    from .faults_demo import pick_loaded_link
-
-    topo = LeafSpine(2, 4, 2)
-    message_bytes = 512 * KB
-    cfg = sim_config(message_bytes, seed=5)
-    jobs = generate_jobs(topo, 1, 8, message_bytes, gpus_per_host=1, seed=5)
-    job = jobs[0]
-    link = pick_loaded_link(
-        topo, "peel", job.group.source.host, job.group.receiver_hosts
-    )
-    schedule = (
-        FaultSchedule()
-        .link_down(*link, at_s=job.arrival_s + 15e-6)
-        .link_up(*link, at_s=job.arrival_s + 120e-6)
-    )
-    obs = _observability(sample_interval_s, detail)
-    run_scenario(
-        ScenarioSpec(
-            topology=topo, scheme="peel", jobs=(job,), config=cfg,
-            fault_schedule=schedule, obs=obs,
-        )
-    )
-    return _result("fault", obs)
+    """One broadcast with a spine link flapping mid-collective (the replay
+    suite's fault scenario): the trace shows the re-peel instant and the
+    repair traffic it triggers."""
+    spec, _ = fault_scenario()
+    return _observed("fault", spec, sample_interval_s, detail)
 
 
 def run_serve(
@@ -135,14 +115,8 @@ def _run_sourcerouted(
     jobs = generate_jobs(
         topo, 3, 6, message_bytes, offered_load=0.4, gpus_per_host=1, seed=3
     )
-    obs = _observability(sample_interval_s, detail)
-    run_scenario(
-        ScenarioSpec(
-            topology=topo, scheme=scheme, jobs=tuple(jobs), config=cfg,
-            obs=obs,
-        )
-    )
-    return _result(scenario, obs)
+    spec = ScenarioSpec(topology=topo, scheme=scheme, jobs=tuple(jobs), config=cfg)
+    return _observed(scenario, spec, sample_interval_s, detail)
 
 
 def run_elmo(

@@ -1,11 +1,11 @@
 """The three golden scenarios as replayable specs (``repro replay``).
 
-Same shapes as :mod:`repro.experiments.obs_demo` — a PEEL broadcast batch,
-a mid-collective link flap, and a two-tenant serving stream — but exposed
-as :class:`repro.api.ScenarioSpec` values (plus a ServeRuntime factory)
-with suggested checkpoint cut times, so the replay-determinism smoke
-(:func:`repro.replay.verify_cut_points`, ``scripts/replay_smoke.py``, CI)
-and the replay test-suite all exercise identical workloads.
+A PEEL broadcast batch, a mid-collective link flap, and a two-tenant
+serving stream (the shapes :mod:`repro.experiments.obs_demo` observes),
+exposed as :class:`repro.api.ScenarioSpec` values (plus a ServeRuntime
+factory) with suggested checkpoint cut times, so the replay-determinism
+smoke (:func:`repro.replay.verify_cut_points`, ``scripts/replay_smoke.py``,
+CI) and the replay test-suite all exercise identical workloads.
 
 Cut times are chosen to land somewhere interesting: right after launch,
 mid-contention, and — for the fault scenario — *inside* the re-peel

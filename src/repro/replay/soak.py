@@ -42,7 +42,7 @@ KB = 1024
 #: Schemes the soak draws from.  Orca is excluded on purpose: its
 #: rack-local relay legs are not fault-recoverable (by design — see
 #: repro.faults), so a random flap can legitimately strand a collective.
-SOAK_SCHEMES = ("peel", "peel+cores", "optimal")
+SOAK_SCHEMES = ("peel", "peel:programmable_cores=true", "optimal")
 
 
 @dataclass(frozen=True)

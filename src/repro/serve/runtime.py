@@ -32,10 +32,10 @@ from ..collectives import (
     SchemeSpec,
     resolve_scheme,
 )
+from ..collectives.multicast import _steiner_tree
 from ..metrics import SloSummary, summarize_slo
 from ..sim import SimConfig
 from ..state import DEFAULT_CAPACITY
-from ..steiner import MAX_EXACT_TERMINALS, exact_steiner_tree, metric_closure_tree
 from ..topology import Topology
 from ..workloads import CollectiveJob
 from .admission import AdmissionPolicy, Decision, FifoAdmission
@@ -51,7 +51,6 @@ from .state import Demand, FabricState, policy_for, tree_switch_fanouts
 #: header bytes and residual state ride the collectives layer.
 DATAPLANE = {
     "peel": "peel",
-    "peel+cores": "peel:programmable_cores=true",
     "orca": "orca",
     "ip-multicast": "optimal",
     "elmo": "elmo",
@@ -67,15 +66,15 @@ def resolve_serving_scheme(scheme) -> tuple[str, BroadcastScheme]:
     """Resolve a serving-scheme argument to ``(report_name, dataplane)``.
 
     Accepts a :data:`SERVE_SCHEMES` name (kept as the report name, so
-    ``"peel+cores"`` and ``"ip-multicast"`` reports read as before), or
-    anything the scheme registry resolves — a :class:`SchemeSpec`, a
-    ``"name:param=value"`` string, or a live scheme instance.
+    ``"ip-multicast"`` reports read as before), or anything the scheme
+    registry resolves — a :class:`SchemeSpec`, a ``"name:param=value"``
+    string, or a live scheme instance.
     """
     if isinstance(scheme, str) and scheme in DATAPLANE:
         return scheme, resolve_scheme(SchemeSpec.parse(DATAPLANE[scheme]))
     if isinstance(scheme, BroadcastScheme):
         return scheme.name, scheme
-    spec = SchemeSpec.coerce(scheme)  # alias strings warn once here
+    spec = SchemeSpec.coerce(scheme)
     return str(spec), resolve_scheme(spec)
 
 
@@ -356,7 +355,11 @@ class ServeRuntime:
             if not self.state_policy.per_group:
                 record._demand = self._protection_demand(record)
             else:
-                tree = self._group_tree(record)
+                # The controller-view tree per-group schemes install along.
+                group = record.job.group
+                tree = _steiner_tree(
+                    self.env, group.source.host, group.receiver_hosts
+                )
                 record._demand = self.state_policy.demand(
                     record.index, tree_switch_fanouts(tree)
                 )
@@ -390,23 +393,9 @@ class ServeRuntime:
                     dict.fromkeys(e for t in plan.static_trees for e in t.edges)
                 )
             else:
-                record._route_edges = tuple(self._group_tree(record).edges)
+                tree = _steiner_tree(self.env, group.source.host, receivers)
+                record._route_edges = tuple(tree.edges)
         return record._route_edges
-
-    def _group_tree(self, record: JobRecord):
-        """The controller-view multicast tree for a group (state + load
-        accounting; per-group schemes install entries along it)."""
-        group = record.job.group
-        source = group.source.host
-        receivers = group.receiver_hosts
-        topo = self.env.topo
-        if topo.is_symmetric:
-            from ..core import optimal_symmetric_tree
-
-            return optimal_symmetric_tree(topo, source, receivers)
-        if len(receivers) + 1 <= MAX_EXACT_TERMINALS:
-            return exact_steiner_tree(topo.graph, source, receivers)
-        return metric_closure_tree(topo.graph, source, receivers)
 
     # -- event handlers --------------------------------------------------------
 

@@ -19,6 +19,6 @@ class ShardPartitionError(ShardError, ValueError):
     """The fabric/workload cannot be cut into the requested shards.
 
     Typical causes: fewer traffic-closed components than shards (every
-    job in a leaf-spine fabric shares the spine tier), or a churn event
-    grafting a host outside the territory of its job's shard.
+    job in a leaf-spine fabric shares the spine tier), or a transfer tree
+    routed outside its shard's territory.
     """

@@ -173,7 +173,6 @@ def merge_observability(
     extracts: list[ShardObsExtract],
     sequencer,
     ccts: list[float],
-    membership: dict | None = None,
 ) -> MetricsRegistry:
     """Rebuild the serial run's metrics registry from shard extracts.
 
@@ -184,9 +183,6 @@ def merge_observability(
     # (a) live counters (link events, reroutes, failovers) sum exactly.
     for extract in extracts:
         merged.merge(extract.registry)
-    if membership:
-        for name in sorted(membership):
-            merged.counter(f"membership.{name}").inc(membership[name])
     # (b) the serial fold_counters(), over merged state.
     for kind in ("accepted", "delivered", "forked", "injected", "lost", "wasted"):
         merged.counter(f"fabric.copies.{kind}").inc(

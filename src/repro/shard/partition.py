@@ -3,8 +3,7 @@
 The unit of partitioning is a *zone*: every pod of a fat-tree (or leaf of
 a leaf-spine) is one zone, and the core/spine tier is one more.  A job's
 traffic is confined to the zones its group touches (plus the core when it
-spans pods), a fault couples the zones on either side of its link, and a
-churn event couples the joining/leaving host's zone to its job's zones.
+spans pods), and a fault couples the zones on either side of its link.
 Union-find over those couplings yields *traffic-closed components*: sets
 of zones between which no simulated event ever needs to cross during the
 run.  Components are dealt round-robin onto shards.
@@ -74,7 +73,7 @@ class _UnionFind:
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """Where every zone, job, fault and churn event runs.
+    """Where every zone, job and fault runs.
 
     ``components`` lists the traffic-closed zone sets in canonical order
     (sorted by smallest zone); component ``i`` runs on shard
@@ -87,7 +86,6 @@ class ShardPlan:
     zone_shard: dict
     job_shard: tuple[int, ...]
     fault_shard: tuple[int, ...]
-    churn_shard: tuple[int, ...]
 
     def shard_of_node(self, name: str) -> int:
         return self.zone_shard[zone_of(name)]
@@ -117,13 +115,11 @@ def plan_partition(
     jobs,
     shards: int,
     fault_schedule=None,
-    churn=None,
 ) -> ShardPlan:
-    """Assign zones/jobs/faults/churn to ``shards`` traffic-closed shards.
+    """Assign zones/jobs/faults to ``shards`` traffic-closed shards.
 
     Raises :class:`ShardPartitionError` when the coupling structure leaves
-    fewer closed components than requested shards, or a churn event
-    references a host no partition rule can co-locate with its job.
+    fewer closed components than requested shards.
     """
     from .errors import ShardPartitionError
 
@@ -156,19 +152,6 @@ def plan_partition(
             uf.union(anchor, zone_of(target[1]))
         fault_anchor.append(anchor)
 
-    churn_events = tuple(churn) if churn is not None else ()
-    churn_anchor: list[tuple] = []
-    for event in churn_events:
-        if not 0 <= event.group < len(job_anchor):
-            raise ShardPartitionError(
-                f"churn event targets job {event.group}, but the scenario "
-                f"has {len(job_anchor)} jobs"
-            )
-        anchor = job_anchor[event.group]
-        if event.host is not None:
-            uf.union(anchor, zone_of(event.host))
-        churn_anchor.append(anchor)
-
     groups: dict = {}
     for zone in uf.parent:
         groups.setdefault(uf.find(zone), set()).add(zone)
@@ -194,6 +177,5 @@ def plan_partition(
         zone_shard=zone_shard,
         job_shard=tuple(zone_shard[a] for a in job_anchor),
         fault_shard=tuple(zone_shard[a] for a in fault_anchor),
-        churn_shard=tuple(zone_shard[a] for a in churn_anchor),
     )
 

@@ -8,7 +8,7 @@ the serial run of the same spec.  How:
 * :func:`repro.shard.partition.plan_partition` cuts the fabric+workload
   into traffic-closed shards (or refuses, loudly);
 * every shard builds a full private copy of the environment — topology,
-  config, seeds — but launches only its own jobs/faults/churn, on a
+  config, seeds — but launches only its own jobs and faults, on a
   :class:`~repro.shard.record.RecordingSimulator`;
 * a :class:`LockstepDriver` advances all shards in lockstep windows —
   pure pacing, since no event crosses a traffic-closed shard, but the
@@ -50,9 +50,10 @@ def shardable_schemes() -> tuple[str, ...]:
     """Registered scheme names whose default construction declares
     ``shardable = True`` (planning and launch draw no shared RNG).
     ECMP-routed baselines qualify since they draw from per-job streams
-    (:meth:`~repro.collectives.CollectiveEnv.ecmp_rng`); ``peel+cores``
-    and ``orca`` do not — they sample controller setup latency from the
-    shared controller RNG, whose draw *order* couples jobs."""
+    (:meth:`~repro.collectives.CollectiveEnv.ecmp_rng`).  PEEL with
+    programmable cores and ``orca`` do not — they sample controller setup
+    latency from the shared controller RNG, whose draw *order* couples
+    jobs."""
     return tuple(
         name for name in registered_schemes() if resolve_scheme(name).shardable
     )
@@ -102,7 +103,7 @@ def validate_spec(spec: ScenarioSpec) -> None:
 class ShardState:
     """One shard's live half-world (in-process or inside a worker).
 
-    Scenario shards fill ``handle_pairs``, ``churn_driver`` and ``obs``;
+    Scenario shards fill ``handle_pairs`` and ``obs``;
     serve shards (:class:`repro.shard.serve.ServeShardState`) hold a
     runtime instead.  Both owe the coordinator the same determinism proofs.
     """
@@ -115,7 +116,6 @@ class ShardState:
         self.sim: RecordingSimulator | None = None
         self.env: CollectiveEnv | None = None
         self.handle_pairs: list[tuple[int, object]] = []
-        self.churn_driver = None
         self.obs: ShardObservability | None = None
         #: (phase, global index, n_sched, lines, names) setup segments.
         self.segments: list[tuple] = []
@@ -177,8 +177,8 @@ def build_scenario_shard(
     spec: ScenarioSpec, plan: ShardPlan, shard_index: int
 ) -> ShardState:
     """Construct one shard's environment, mirroring the serial setup order
-    (faults at env construction, jobs in spec order, churn install) while
-    capturing per-action segments for the sequencer's setup interleave."""
+    (faults at env construction, then jobs in spec order) while capturing
+    per-action segments for the sequencer's setup interleave."""
     scheme = resolve_scheme(spec.scheme)
     state = ShardState(shard_index)
     sim = state.sim = RecordingSimulator()
@@ -216,10 +216,6 @@ def build_scenario_shard(
     sim.watch_transfers(env.network.transfers)
     if spec.obs is not None:
         state.obs = ShardObservability(spec.obs).attach(env.network)
-    if spec.churn is not None:
-        # Joins/leaves need per-receiver segment tracking; must be set
-        # before any transfer is constructed (mirrors ScenarioRun).
-        env.network.fault_tolerant = True
     transfers = env.network.transfers
     for g, job in enumerate(spec.jobs):
         if plan.job_shard[g] != shard_index:
@@ -233,24 +229,6 @@ def build_scenario_shard(
         )
         state.handle_pairs.append((g, handle))
     sim.lines.clear()  # setup lines now live in the segments
-    if spec.churn is not None:
-        from ..control.membership import ChurnDriver, ChurnSchedule
-
-        churn_pairs = [
-            (g, event)
-            for g, event in enumerate(spec.churn)
-            if plan.churn_shard[g] == shard_index
-        ]
-        filtered = ChurnSchedule(tuple(event for _, event in churn_pairs))
-        padded: list = [None] * len(spec.jobs)
-        for g, handle in state.handle_pairs:
-            padded[g] = handle
-        state.churn_driver = ChurnDriver(env, filtered)
-        seq0 = sim._seq
-        state.churn_driver.install(padded)
-        if sim._seq - seq0 != len(churn_pairs):  # pragma: no cover
-            raise ShardError("churn install scheduled an unexpected count")
-        state.segments.extend((2, g, 1, [], None) for g, _ in churn_pairs)
     state.mark(plan.nodes_for(shard_index, spec.topology))
     return state
 
@@ -270,9 +248,6 @@ def finalize_scenario_shard(state: ShardState) -> dict:
     return {
         "ccts": [(g, handle.cct_s) for g, handle in state.handle_pairs],
         "violations": list(violations),
-        "membership": (
-            dict(state.churn_driver.counters) if state.churn_driver else {}
-        ),
         "accounting": fabric_accounting(env, handles),
         "obs": (
             extract_obs(state.obs, env.network, handles)
@@ -404,7 +379,7 @@ class LockstepDriver:
         #: Every shard has fired all its events at or before this time.
         self.committed_edge = 0.0
         # Serial setup interleave: segments sort by (phase, global index)
-        # across shards — faults, then jobs/submits, then churn.
+        # across shards — faults, then jobs/submits.
         merged_setup: list[tuple[int, tuple]] = []
         for shard in shards:
             merged_setup.extend(
@@ -480,7 +455,7 @@ class ShardedScenarioRun:
         validate_spec(spec)
         self.spec = spec
         self.plan = plan_partition(
-            spec.topology, spec.jobs, shards, spec.fault_schedule, spec.churn
+            spec.topology, spec.jobs, shards, spec.fault_schedule
         )
         self.processes = processes
         self.sequencer = GlobalSequencer(
@@ -562,10 +537,6 @@ class ShardedScenarioRun:
         for payload in payloads:
             for g, cct in payload["ccts"]:
                 ccts[g] = cct
-        membership: dict = {}
-        for payload in payloads:
-            for name, count in payload["membership"].items():
-                membership[name] = membership.get(name, 0) + count
         violations = [v for payload in payloads for v in payload["violations"]]
         violations.sort(key=lambda v: v.time_s)
         obs = spec.obs
@@ -574,13 +545,12 @@ class ShardedScenarioRun:
                 [payload["obs"] for payload in payloads],
                 sequencer,
                 ccts,
-                membership,
             )
             obs.registry.merge(merged)
             obs._finalized = True  # exports serve the merged registry as-is
         digest = sequencer.digest
         return ScenarioResult(
-            scheme=spec.scheme_name,
+            scheme=resolve_scheme(spec.scheme).name,
             ccts=ccts,
             invariant_violations=violations,
             trace_digest=(
@@ -598,7 +568,6 @@ class ShardedScenarioRun:
                 ),
             ),
             protection=spec.protection,
-            membership=membership,
             **self._merge_accounts(payloads),
         )
 

@@ -6,7 +6,7 @@ schedule action of the run gets seq k.  The sequencer reproduces that
 numbering without ever seeing a callback:
 
 * **Setup segments** replay the serial setup interleave (sorted faults,
-  then jobs in spec/submit order, then sorted churn) and assign global
+  then jobs in spec/submit order) and assign global
   seqs to each segment's schedule actions.
 * **Fired records** merge by ``(time, gseq)`` via a heap over per-shard
   streams.  Each shard's stream is already ``(time, local_seq)``-sorted
@@ -136,9 +136,9 @@ class GlobalSequencer:
     def push_setup(
         self, shard: int, n_sched: int, lines: list[str], names: list[str]
     ) -> None:
-        """One serial-order setup action (fault install, job launch, churn
-        install): relabel its schedules, name its transfers, chain its
-        trace lines.  Callers must invoke this in the serial interleave."""
+        """One serial-order setup action (fault install, job launch):
+        relabel its schedules, name its transfers, chain its trace lines.
+        Callers must invoke this in the serial interleave."""
         if names:
             self._assign_names(shard, names)
         if n_sched:

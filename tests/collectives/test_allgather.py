@@ -8,7 +8,7 @@ from repro.collectives import (
     Group,
     PeelAllgather,
     RingAllgather,
-    scheme_by_name,
+    resolve_scheme,
     shard_bytes,
 )
 from repro.sim import SimConfig
@@ -40,7 +40,7 @@ class TestCompletion:
     def test_completes_on_leafspine(self, name):
         topo = LeafSpine(4, 8, 2)
         env = CollectiveEnv(topo, SimConfig(segment_bytes=65536))
-        handle = scheme_by_name(name).launch(env, group_of(topo, 8), MSG, 0.0)
+        handle = resolve_scheme(name).launch(env, group_of(topo, 8), MSG, 0.0)
         env.run()
         assert handle.complete
         assert handle.cct_s > 0
@@ -49,7 +49,7 @@ class TestCompletion:
     def test_completes_on_fattree(self, name):
         topo = FatTree(4)
         env = CollectiveEnv(topo, SimConfig(segment_bytes=65536))
-        handle = scheme_by_name(name).launch(env, group_of(topo, 6), MSG, 0.0)
+        handle = resolve_scheme(name).launch(env, group_of(topo, 6), MSG, 0.0)
         env.run()
         assert handle.complete
 
@@ -57,7 +57,7 @@ class TestCompletion:
     def test_single_host_trivial(self, name):
         topo = LeafSpine(2, 2, 2)
         env = CollectiveEnv(topo, SimConfig(segment_bytes=65536))
-        handle = scheme_by_name(name).launch(env, group_of(topo, 1), MSG, 0.0)
+        handle = resolve_scheme(name).launch(env, group_of(topo, 1), MSG, 0.0)
         env.run()
         assert handle.complete
 
@@ -79,7 +79,7 @@ class TestBandwidthShape:
         results = {}
         for name in ("allgather-ring", "allgather-peel"):
             env = CollectiveEnv(topo, SimConfig(segment_bytes=262144))
-            handle = scheme_by_name(name).launch(env, group_of(topo, 16), 64 * 2**20, 0.0)
+            handle = resolve_scheme(name).launch(env, group_of(topo, 16), 64 * 2**20, 0.0)
             env.run()
             assert handle.complete
             results[name] = env.network.total_bytes_sent()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.collectives import CollectiveEnv, Gpu, Group, scheme_by_name, shard_bytes
+from repro.collectives import CollectiveEnv, Gpu, Group, resolve_scheme, shard_bytes
 from repro.sim import SimConfig
 from repro.topology import FatTree, LeafSpine
 
@@ -20,7 +20,7 @@ class TestCompletion:
     def test_completes(self, name):
         topo = LeafSpine(4, 8, 2)
         env = CollectiveEnv(topo, SimConfig(segment_bytes=65536))
-        handle = scheme_by_name(name).launch(env, group_of(topo, 8), MSG, 0.0)
+        handle = resolve_scheme(name).launch(env, group_of(topo, 8), MSG, 0.0)
         env.run()
         assert handle.complete
 
@@ -29,7 +29,7 @@ class TestCompletion:
         topo = FatTree(4)
         env = CollectiveEnv(topo, SimConfig(segment_bytes=65536))
         group = group_of(topo, 6)
-        handle = scheme_by_name(name).launch(env, group, MSG, 0.0)
+        handle = resolve_scheme(name).launch(env, group, MSG, 0.0)
         env.run()
         assert handle.complete
         assert set(handle.host_done_at) == set(group.hosts)
@@ -38,7 +38,7 @@ class TestCompletion:
     def test_single_host_trivial(self, name):
         topo = LeafSpine(2, 2, 2)
         env = CollectiveEnv(topo, SimConfig(segment_bytes=65536))
-        handle = scheme_by_name(name).launch(env, group_of(topo, 1), MSG, 0.0)
+        handle = resolve_scheme(name).launch(env, group_of(topo, 1), MSG, 0.0)
         env.run()
         assert handle.complete
 
@@ -51,7 +51,7 @@ class TestShape:
         env = CollectiveEnv(topo, SimConfig(segment_bytes=65536))
         group = group_of(topo, 8)
         n = len(group.hosts)
-        handle = scheme_by_name("allreduce-ring").launch(env, group, MSG, 0.0)
+        handle = resolve_scheme("allreduce-ring").launch(env, group, MSG, 0.0)
         env.run()
         shard = shard_bytes(MSG, n)
         floor = 2 * (n - 1) * shard * 8 / topo.link_bps
@@ -62,7 +62,7 @@ class TestShape:
         totals = {}
         for name in ("allreduce-ring", "allreduce-peel"):
             env = CollectiveEnv(topo, SimConfig(segment_bytes=262144))
-            handle = scheme_by_name(name).launch(
+            handle = resolve_scheme(name).launch(
                 env, group_of(topo, 16), 64 * 2**20, 0.0
             )
             env.run()
@@ -77,7 +77,7 @@ class TestShape:
         env = CollectiveEnv(topo, SimConfig(segment_bytes=65536))
         group = group_of(topo, 6)
         n = len(group.hosts)
-        handle = scheme_by_name("allreduce-peel").launch(env, group, MSG, 0.0)
+        handle = resolve_scheme("allreduce-peel").launch(env, group, MSG, 0.0)
         env.run()
         shard = shard_bytes(MSG, n)
         one_phase = (n - 1) * shard * 8 / topo.link_bps

@@ -1,4 +1,4 @@
-"""Scheme registry: SchemeSpec value semantics, aliases, resolution."""
+"""Scheme registry: SchemeSpec value semantics, resolution, legacy names."""
 
 import pickle
 import warnings
@@ -7,13 +7,9 @@ import pytest
 
 from repro.collectives import (
     ElmoBroadcast,
-    PeelBroadcast,
     SchemeSpec,
     registered_schemes,
-    reset_alias_warnings,
     resolve_scheme,
-    scheme_aliases,
-    scheme_by_name,
 )
 
 
@@ -87,41 +83,12 @@ class TestResolution:
         scheme = ElmoBroadcast(header_bytes=8)
         assert resolve_scheme(scheme) is scheme
 
-    def test_scheme_by_name_is_the_registry(self):
-        assert isinstance(scheme_by_name("peel"), PeelBroadcast)
-        with pytest.raises(ValueError, match="scheme registry"):
-            scheme_by_name("carrier-pigeon")
-
 
 class TestAliases:
-    def test_legacy_spellings_resolve_equivalently(self):
-        aliases = scheme_aliases()
-        assert aliases["peel+cores"] == SchemeSpec(
-            "peel", programmable_cores=True
-        )
-        assert aliases["orca-nosetup"] == SchemeSpec(
-            "orca", controller_overhead=False
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert resolve_scheme("peel+cores").programmable_cores
-            assert not resolve_scheme("orca-nosetup").controller_overhead
-
-    def test_alias_warns_exactly_once_per_process(self):
-        reset_alias_warnings()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                resolve_scheme("peel+cores")
-                resolve_scheme("peel+cores")
-            deprecations = [
-                w for w in caught
-                if issubclass(w.category, DeprecationWarning)
-                and "peel+cores" in str(w.message)
-            ]
-            assert len(deprecations) == 1
-        finally:
-            reset_alias_warnings()
+    def test_legacy_spellings_are_unknown_schemes(self):
+        for legacy in ("peel+cores", "orca-nosetup"):
+            with pytest.raises(ValueError, match="unknown scheme"):
+                resolve_scheme(legacy)
 
     def test_canonical_names_never_warn(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -138,8 +105,3 @@ class TestRegistryContents:
         names = registered_schemes()
         for name in ("elmo", "bert", "rsbf", "lipsin", "ip-multicast"):
             assert name in names
-
-    def test_aliases_are_not_registered_names(self):
-        names = registered_schemes()
-        for alias in scheme_aliases():
-            assert alias not in names

@@ -11,14 +11,22 @@ from repro.collectives import (
     OrcaBroadcast,
     PeelBroadcast,
     RingBroadcast,
-    scheme_by_name,
+    resolve_scheme,
 )
 from repro.sim import SimConfig
 from repro.topology import FatTree, LeafSpine, asymmetric
 
 MSG = 2 * 2**20
 
-ALL_SCHEMES = ["ring", "tree", "optimal", "orca", "orca-nosetup", "peel", "peel+cores"]
+ALL_SCHEMES = [
+    "ring", "tree", "optimal", "orca", "orca:controller_overhead=false",
+    "peel", "peel:programmable_cores=true",
+]
+
+
+def display_name(scheme: str) -> str:
+    """Test ids name each scheme as result rows do (``peel+cores``)."""
+    return resolve_scheme(scheme).name
 
 
 def group_on(topo, hosts, gpus_per_host=2):
@@ -32,21 +40,21 @@ def env():
 
 
 class TestAllSchemesDeliver:
-    @pytest.mark.parametrize("name", ALL_SCHEMES)
+    @pytest.mark.parametrize("name", ALL_SCHEMES, ids=display_name)
     def test_delivers_leafspine(self, name, env):
         hosts = [h for h in sorted(env.topo.hosts)][:8]
         group = group_on(env.topo, hosts)
-        handle = scheme_by_name(name).launch(env, group, MSG, arrival_s=0.0)
+        handle = resolve_scheme(name).launch(env, group, MSG, arrival_s=0.0)
         env.run()
         assert handle.complete, name
         assert handle.cct_s > 0
 
-    @pytest.mark.parametrize("name", ALL_SCHEMES)
+    @pytest.mark.parametrize("name", ALL_SCHEMES, ids=display_name)
     def test_delivers_fattree(self, name):
         env = CollectiveEnv(FatTree(4), SimConfig(segment_bytes=65536))
         hosts = env.topo.hosts[:6]
         group = group_on(env.topo, hosts)
-        handle = scheme_by_name(name).launch(env, group, MSG, arrival_s=0.0)
+        handle = resolve_scheme(name).launch(env, group, MSG, arrival_s=0.0)
         env.run()
         assert handle.complete, name
 
@@ -55,22 +63,22 @@ class TestAllSchemesDeliver:
         topo, _ = asymmetric(LeafSpine(4, 8, 2), 0.2, seed=4)
         env = CollectiveEnv(topo, SimConfig(segment_bytes=65536))
         group = group_on(topo, topo.hosts[:8])
-        handle = scheme_by_name(name).launch(env, group, MSG, arrival_s=0.0)
+        handle = resolve_scheme(name).launch(env, group, MSG, arrival_s=0.0)
         env.run()
         assert handle.complete, name
 
-    @pytest.mark.parametrize("name", ALL_SCHEMES)
+    @pytest.mark.parametrize("name", ALL_SCHEMES, ids=display_name)
     def test_single_host_group_is_nvlink_only(self, name, env):
         host = env.topo.hosts[0]
         group = group_on(env.topo, [host], gpus_per_host=8)
-        handle = scheme_by_name(name).launch(env, group, MSG, arrival_s=0.0)
+        handle = resolve_scheme(name).launch(env, group, MSG, arrival_s=0.0)
         env.run()
         assert handle.complete
         assert handle.cct_s == pytest.approx(MSG / env.config.nvlink_bytes_per_s)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
-            scheme_by_name("carrier-pigeon")
+            resolve_scheme("carrier-pigeon")
 
 
 class TestRingStructure:
@@ -145,13 +153,13 @@ class TestMulticastSchemes:
 class TestOrca:
     def test_setup_delay_slows_start(self):
         ccts = {}
-        for name in ("orca", "orca-nosetup"):
+        for name in ("orca", "orca:controller_overhead=false"):
             env = CollectiveEnv(LeafSpine(4, 8, 2), SimConfig(segment_bytes=65536))
             group = group_on(env.topo, env.topo.hosts[:8])
-            handle = scheme_by_name(name).launch(env, group, MSG, 0.0)
+            handle = resolve_scheme(name).launch(env, group, MSG, 0.0)
             env.run()
             ccts[name] = handle.cct_s
-        assert ccts["orca"] > ccts["orca-nosetup"]
+        assert ccts["orca"] > ccts["orca:controller_overhead=false"]
 
     def test_agent_relays_to_other_servers(self):
         env = CollectiveEnv(LeafSpine(4, 8, 2), SimConfig(segment_bytes=65536))

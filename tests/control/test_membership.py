@@ -1,12 +1,9 @@
-"""Pure membership machinery: graft/prune tree surgery, churn policy,
-churn timelines."""
+"""Pure membership machinery: graft/prune tree surgery, churn policy."""
 
 import pytest
 
 from repro.control import (
-    ChurnEvent,
     ChurnPolicy,
-    ChurnSchedule,
     MembershipError,
     covered_hosts,
     graft_host,
@@ -157,31 +154,3 @@ class TestChurnPolicy:
             ChurnPolicy(max_delta_fraction=0)
         with pytest.raises(ValueError):
             ChurnPolicy(max_branch_grafts=-1)
-
-
-class TestChurnTimeline:
-    def test_event_validation(self):
-        with pytest.raises(ValueError):
-            ChurnEvent(0.0, 0, "rename", host="h")
-        with pytest.raises(ValueError):
-            ChurnEvent(0.0, 0, "join")  # membership op needs a host
-        with pytest.raises(ValueError):
-            ChurnEvent(0.0, 0, "submit")  # submit needs message_bytes
-        with pytest.raises(ValueError):
-            ChurnEvent(-1.0, 0, "join", host="h")
-
-    def test_schedule_sorts_and_round_trips(self, tmp_path):
-        schedule = ChurnSchedule(
-            (
-                ChurnEvent(2e-6, 1, "leave", host="host:l0:0"),
-                ChurnEvent(1e-6, 0, "join", host="host:l1:0"),
-                ChurnEvent(1e-6, 0, "submit", message_bytes=1024),
-            )
-        )
-        assert [e.at_s for e in schedule] == [1e-6, 1e-6, 2e-6]
-        again = ChurnSchedule.from_json(schedule.to_json())
-        assert again == schedule
-        path = tmp_path / "churn.json"
-        schedule.save(path)
-        assert ChurnSchedule.load(path) == schedule
-        assert len(schedule) == 3

@@ -5,9 +5,9 @@ false}`` response carries a ``kind`` naming the exception family the
 dispatcher caught, and both client transports raise the matching
 :class:`ControlRequestError` subclass — so a campaign script can branch
 on ``MembershipRequestError`` without regex-matching message text.  The
-churn × protection combination is the motivating case: it is refused on
-*every* path (scenario churn driver, control-plane constructor), and the
-refusal must arrive typed through the local and socket clients alike.
+churn × protection combination is the motivating case: the control-plane
+constructor refuses it, and the refusal must arrive typed through the
+local and socket clients alike.
 """
 
 import threading
@@ -15,10 +15,7 @@ import time
 
 import pytest
 
-from repro.api import ScenarioRun, ScenarioSpec
-from repro.collectives import Gpu, Group
 from repro.control import (
-    ChurnEvent,
     ControlError,
     ControlPlane,
     ControlPlaneRequestError,
@@ -26,7 +23,6 @@ from repro.control import (
     ControlServer,
     Dispatcher,
     LocalClient,
-    MembershipError,
     MembershipRequestError,
     ProtocolRequestError,
     SocketClient,
@@ -34,7 +30,6 @@ from repro.control import (
 from repro.control.protocol import error
 from repro.sim import SimConfig
 from repro.topology import LeafSpine
-from repro.workloads import CollectiveJob
 
 KB = 1024
 
@@ -159,22 +154,6 @@ class TestSocketClientTyped:
 
 
 class TestChurnTimesProtection:
-    def test_scenario_churn_with_protection_refused(self):
-        topo = LeafSpine(2, 4, 2)
-        members = (
-            Gpu("host:l0:0", 0), Gpu("host:l0:1", 0), Gpu("host:l1:0", 0)
-        )
-        spec = ScenarioSpec(
-            topology=topo,
-            scheme="peel",
-            jobs=(CollectiveJob(0.0, Group(members[0], members), 1 << 20),),
-            config=SimConfig(segment_bytes=32 * KB),
-            churn=(ChurnEvent(30e-6, 0, "join", host="host:l3:1"),),
-            protection=1,
-        )
-        with pytest.raises(MembershipError, match="protection"):
-            ScenarioRun(spec)
-
     def test_control_plane_protection_refused_as_control_error(self):
         with pytest.raises(ControlError, match="protection"):
             control_plane(protection=1)

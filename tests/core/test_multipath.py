@@ -101,14 +101,14 @@ class TestOverlap:
 
 class TestStripedScheme:
     def test_striped_delivers_everything(self):
-        from repro.collectives import CollectiveEnv, Gpu, Group, scheme_by_name
+        from repro.collectives import CollectiveEnv, Gpu, Group, resolve_scheme
         from repro.sim import SimConfig
 
         ls = LeafSpine(4, 4, 4)
         env = CollectiveEnv(ls, SimConfig(segment_bytes=65536))
         hosts = ls.hosts[:10]
         gpus = tuple(Gpu(h, 0) for h in hosts)
-        handle = scheme_by_name("striped").launch(
+        handle = resolve_scheme("striped").launch(
             env, Group(gpus[0], gpus), 8 * 2**20, 0.0
         )
         env.run()

@@ -7,8 +7,9 @@ Two layers:
   re-peel of the surviving set would, and every tree stays a valid
   fabric-realizable arborescence;
 * end-to-end — the same sequences applied to a live collective through the
-  scenario churn path keep the exactly-once/conservation invariants (the
-  checker runs in raise mode) and every surviving receiver finishes.
+  control plane keep the exactly-once/conservation invariants (the checker
+  runs in raise mode), every surviving receiver finishes, and no switch
+  rule is updated.
 """
 
 import random
@@ -16,13 +17,16 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import ScenarioSpec, run
-from repro.collectives import Gpu, Group
-from repro.control import ChurnEvent, ChurnSchedule, covered_hosts, graft_host, prune_host
+from repro.control import (
+    ControlPlane,
+    LocalClient,
+    covered_hosts,
+    graft_host,
+    prune_host,
+)
 from repro.core import Peel
 from repro.sim import SimConfig
 from repro.topology import LeafSpine
-from repro.workloads import CollectiveJob
 
 KB = 1024
 
@@ -115,34 +119,27 @@ class TestTreeSurgeryEquivalence:
 
 class TestLiveChurnInvariants:
     @given(churn_sequences())
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_churned_collective_stays_exactly_once_and_finishes(self, case):
-        """The full stack: joins graft + backfill, leaves prune, and the
-        raise-mode invariant checker would fail the example on any double
-        delivery, conservation breach, or unfinished receiver."""
+        """The full stack through the control plane: timed joins graft +
+        backfill, leaves prune, and the raise-mode invariant checker would
+        fail the example on any double delivery, conservation breach, or
+        unfinished receiver.  Membership changes only what the source
+        emits: PEEL's switches see no rule update (§3.2)."""
         source, members, ops, final = case
-        events = [
-            ChurnEvent(20e-6 + 15e-6 * i, 0, op, host=host)
-            for i, (op, host) in enumerate(ops)
-        ]
-        spec = ScenarioSpec(
-            topology=topo8(),
-            scheme="peel",
-            jobs=(
-                CollectiveJob(
-                    0.0,
-                    Group(
-                        Gpu(source, 0),
-                        (Gpu(source, 0), *(Gpu(h, 0) for h in sorted(members))),
-                    ),
-                    512 * KB,
-                ),
-            ),
-            config=SimConfig(segment_bytes=32 * KB),
+        control = ControlPlane(
+            topo8(), "peel", SimConfig(segment_bytes=32 * KB),
             check_invariants=True,
-            churn=ChurnSchedule(tuple(events)),
         )
-        result = run(spec)
-        assert result.invariant_violations == []
-        assert result.membership["joins"] + result.membership["leaves"] >= 0
-        assert len(result.ccts) == 1
+        client = LocalClient(control)
+        gid = client.create_group("t", source, members)
+        client.submit(gid, 512 * KB)
+        for i, (op, host) in enumerate(ops):
+            apply = client.join if op == "join" else client.leave
+            apply(gid, host, at_s=20e-6 + 15e-6 * i)
+        client.run()
+        report = client.report()
+        assert report["violations"] == []
+        assert report["completed"] == 1
+        assert report["switch_updates"] == 0
+        assert control.groups[gid].members == final

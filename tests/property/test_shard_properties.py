@@ -5,10 +5,10 @@ spec the partition accepts, running it across N lockstep shards yields
 the same golden-trace chain, the same fired-event digest, the same CCTs
 and the same observability export as the serial engine, byte for byte.
 These properties draw random pod-local workloads — topology size, shard
-count in {2, 4, 8}, scheme, faults, membership churn, protection level,
-seeds — and check exactly that, plus the invariants the equality rests
-on: no shard fires beyond the window edge, the edges strictly advance,
-and the stream merge is associative over any window decomposition.
+count in {2, 4, 8}, scheme, faults, protection level, seeds — and check
+exactly that, plus the invariants the equality rests on: no shard fires
+beyond the window edge, the edges strictly advance, and the stream merge
+is associative over any window decomposition.
 
 A drawn workload may queue past the ECN band, where ramp marking draws
 the shared fabric RNG.  The sharded run then refuses with its documented
@@ -23,7 +23,6 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import ScenarioRun, ScenarioSpec, run
-from repro.control import ChurnEvent, ChurnSchedule
 from repro.experiments.common import sim_config
 from repro.faults import FaultSchedule
 from repro.obs import Observability
@@ -45,6 +44,7 @@ def _fresh_obs() -> Observability:
 def _result_facts(result, obs):
     """Every comparable fact of one run, obs export included."""
     return {
+        "scheme": result.scheme,
         "ccts": list(result.ccts),
         "trace": result.trace_digest,
         "events": result.replay.event_digest,
@@ -55,7 +55,6 @@ def _result_facts(result, obs):
         "failure_drops": result.failure_drops,
         "repeels": list(result.repeels),
         "failovers": list(result.failovers),
-        "membership": dict(result.membership),
         "backup_entries": result.backup_tcam_entries,
         "header_overhead": result.header_overhead_bytes,
         "group_tcam_peak": result.per_group_tcam_peak,
@@ -96,15 +95,16 @@ def shard_cases(draw):
     k = 8 if shards == 8 else 4
     topo = FatTree(k, hosts_per_tor=2)
     seed = draw(st.integers(min_value=0, max_value=9999))
-    variant = draw(st.sampled_from(("plain", "fault", "churn", "protection")))
-    # Churn grafting and protection planning are PEEL mechanisms; the
-    # plain and fault variants also exercise the optimal scheme, the
-    # per-job-ECMP host relays (ring/tree) and the source-routed schemes
-    # (header bytes + strip-at-hop accounting must merge byte-identically).
+    variant = draw(st.sampled_from(("plain", "fault", "protection")))
+    # Protection planning is a PEEL mechanism; the plain and fault
+    # variants also exercise the optimal scheme, the per-job-ECMP host
+    # relays (ring/tree) and the source-routed schemes (header bytes +
+    # strip-at-hop accounting must merge byte-identically; a parameterized
+    # spec must report the serial run's scheme name).
     scheme = (
         draw(st.sampled_from((
-            "peel", "optimal", "ring", "tree",
-            "elmo", "bert", "rsbf", "lipsin", "ip-multicast",
+            "peel", "optimal", "ring", "tree", "elmo", "elmo:header_bytes=2",
+            "bert", "rsbf", "lipsin", "ip-multicast",
         )))
         if variant in ("plain", "fault")
         else "peel"
@@ -117,7 +117,6 @@ def shard_cases(draw):
     )
     arrivals = sorted(job.arrival_s for job in jobs)
     fault_schedule = None
-    churn = None
     protection = 0
     rng = random.Random(seed + 77)
     if variant == "fault":
@@ -128,25 +127,6 @@ def shard_cases(draw):
         fault_schedule = FaultSchedule().link_flap(
             tor, agg, down_at, down_at + 150e-6
         )
-    elif variant == "churn":
-        g = rng.randrange(len(jobs))
-        group = jobs[g].group
-        members = {gpu.host for gpu in group.members}
-        pod_hosts = {
-            h for h in topo.hosts
-            if h.split(":")[1] == group.source.host.split(":")[1]
-        }
-        outside = sorted(pod_hosts - members)
-        leavers = sorted(members - {group.source.host})
-        events = []
-        at = jobs[g].arrival_s + rng.choice((5e-6, 20e-6))
-        if outside and rng.random() < 0.7:
-            events.append(ChurnEvent(at, g, "join", host=outside[0]))
-        if not events or rng.random() < 0.5:
-            events.append(
-                ChurnEvent(at + 10e-6, g, "leave", host=leavers[0])
-            )
-        churn = ChurnSchedule(tuple(events))
     elif variant == "protection":
         protection = 1
     spec = ScenarioSpec(
@@ -157,7 +137,6 @@ def shard_cases(draw):
         record_trace=True,
         event_digest=True,
         fault_schedule=fault_schedule,
-        churn=churn,
         protection=protection,
         shards=shards,
     )

@@ -125,7 +125,7 @@ class TestPolicies:
 
     def test_policy_for_names(self):
         assert policy_for("peel").name == "peel"
-        assert policy_for("peel+cores").per_group is False
+        assert policy_for("peel:programmable_cores=true").per_group is False
         assert policy_for("orca").name == "orca"
         assert policy_for("ip-multicast").name == "ip-multicast"
         ring = policy_for("ring")

@@ -4,7 +4,6 @@ import pytest
 
 from repro.collectives import Gpu, Group
 from repro.faults import FaultSchedule
-from repro.control import ChurnEvent, ChurnSchedule
 from repro.shard import (
     CORE_ZONE,
     ShardPartitionError,
@@ -91,26 +90,6 @@ class TestPlanPartition:
         # The agg-core fault welds pod 0 with the core component.
         assert plan.shard_of_node(agg) == plan.shard_of_node(core)
         assert len(plan.components) == 4
-
-    def test_churn_host_joins_the_target_jobs_component(self):
-        topo = FatTree(4)
-        jobs = [pod_job(topo, p) for p in range(4)]
-        foreign = sorted(
-            h for h in topo.hosts if h.split(":")[1] == "p3"
-        )[-1]
-        churn = ChurnSchedule(
-            (ChurnEvent(5e-6, 0, "join", host=foreign),)
-        )
-        plan = plan_partition(topo, jobs, 2, churn=churn)
-        assert plan.shard_of_node(foreign) == plan.job_shard[0]
-
-    def test_churn_event_for_missing_job_rejected(self):
-        topo = FatTree(4)
-        jobs = [pod_job(topo, 0)]
-        churn = ChurnSchedule((ChurnEvent(5e-6, 3, "leave",
-                                          host=jobs[0].group.members[-1].host),))
-        with pytest.raises(ShardPartitionError, match="targets job 3"):
-            plan_partition(topo, jobs, 1, churn=churn)
 
 
 class TestPodLocalJobs:

@@ -4,12 +4,16 @@ import dataclasses
 
 import pytest
 
-from repro.api import run
+from repro.api import ScenarioSpec, run
+from repro.collectives import resolve_scheme
+from repro.experiments import fig3_frontier
+from repro.experiments.common import sim_config
 from repro.experiments.scenarios import shard_scenario
 from repro.obs import Observability
 from repro.replay import Snapshot
 from repro.shard import ShardedScenarioRun, ShardError, validate_spec
 from repro.sim import SimConfig
+from repro.workloads import CollectiveJob
 
 from .specs import ecn_drawing_spec
 
@@ -67,6 +71,31 @@ class TestGoldenScenario:
         assert sharded_run.drained
         assert sharded_run.windows_run >= 1
         assert len(sharded_run.shards) == 2
+
+
+class TestSchemeName:
+    @pytest.mark.parametrize("scheme", ("elmo:header_bytes=2", "bert:label_bytes=4"))
+    def test_sharded_run_reports_the_serial_scheme_name(self, scheme):
+        """A parameterized spec reports the resolved scheme's name on both
+        paths (the frontier shape: two pod-local 64 KB jobs, 2 shards)."""
+        topo = fig3_frontier._frontier_fabric()
+        jobs = tuple(
+            CollectiveJob(0.0, fig3_frontier.shaped_group(topo, pod, 4, 2), 64 * 1024)
+            for pod in (0, 1)
+        )
+        spec = ScenarioSpec(
+            topology=topo,
+            scheme=scheme,
+            jobs=jobs,
+            config=sim_config(64 * 1024, seed=7),
+            invariant_watchdog=False,
+            shards=2,
+        )
+        serial = run(dataclasses.replace(spec, shards=1))
+        sharded = run(spec)
+        assert serial.scheme == resolve_scheme(scheme).name
+        assert sharded.scheme == serial.scheme
+        assert_matches(serial, sharded)
 
 
 class TestSnapshotResume:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.collectives import CollectiveEnv, Gpu, Group, scheme_by_name
+from repro.collectives import CollectiveEnv, Gpu, Group, resolve_scheme
 from repro.sim import InvariantChecker, InvariantViolation, SimConfig
 from repro.sim.packet import Segment
 from repro.topology import LeafSpine
@@ -23,7 +23,7 @@ def run_broadcast(scheme="peel", message=MB, raise_immediately=True, n=8):
         check_invariants=True,
         raise_on_violation=raise_immediately,
     )
-    handle = scheme_by_name(scheme).launch(env, small_group(topo, n), message, 0.0)
+    handle = resolve_scheme(scheme).launch(env, small_group(topo, n), message, 0.0)
     env.run()
     return env, handle
 
@@ -133,7 +133,7 @@ class TestWatchdog:
         source = group.source.host
         uplink = env.network.ports[source, topo.tor_of(source)]
         uplink.paused = True  # nobody will ever resume it
-        scheme_by_name("peel").launch(env, group, 256 * 1024, 0.0)
+        resolve_scheme("peel").launch(env, group, 256 * 1024, 0.0)
         with pytest.raises(InvariantViolation, match="deadlock"):
             env.run()
 
@@ -144,7 +144,7 @@ class TestWatchdog:
         env = CollectiveEnv(
             topo, SimConfig(segment_bytes=64 * 1024), check_invariants=True
         )
-        scheme = scheme_by_name("peel")
+        scheme = resolve_scheme("peel")
         h1 = scheme.launch(env, small_group(topo, 8), MB, 0.0)
         h2 = scheme.launch(env, small_group(topo, 8), MB, 0.5)  # long gap
         env.run()

@@ -65,13 +65,13 @@ class TestDeterministicReplay:
 
 class TestRecorderApi:
     def run_env(self, keep_events=False):
-        from repro.collectives import CollectiveEnv, scheme_by_name
+        from repro.collectives import CollectiveEnv, resolve_scheme
 
         topo = LeafSpine(2, 4, 2)
         env = CollectiveEnv(topo, SimConfig(segment_bytes=64 * 1024))
         recorder = TraceRecorder(env.network, keep_events=keep_events)
         members = tuple(Gpu(h, 0) for h in topo.hosts[:8])
-        scheme_by_name("peel").launch(env, Group(members[0], members), MB, 0.0)
+        resolve_scheme("peel").launch(env, Group(members[0], members), MB, 0.0)
         env.run()
         return recorder
 
@@ -87,12 +87,12 @@ class TestRecorderApi:
         golden = tmp_path / "golden.json"
         self.run_env().save(golden)
         topo = LeafSpine(2, 4, 2)
-        from repro.collectives import CollectiveEnv, scheme_by_name
+        from repro.collectives import CollectiveEnv, resolve_scheme
 
         env = CollectiveEnv(topo, SimConfig(segment_bytes=64 * 1024, seed=9))
         recorder = TraceRecorder(env.network)
         members = tuple(Gpu(h, 0) for h in topo.hosts[:6])  # different group
-        scheme_by_name("peel").launch(env, Group(members[0], members), MB, 0.0)
+        resolve_scheme("peel").launch(env, Group(members[0], members), MB, 0.0)
         env.run()
         assert not recorder.matches(golden)
 

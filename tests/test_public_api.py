@@ -40,8 +40,8 @@ class TestTopLevel:
             Group,
             Peel,
             ScenarioSpec,
+            resolve_scheme,
             run,
-            scheme_by_name,
         )
 
 
