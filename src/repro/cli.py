@@ -42,7 +42,9 @@ from .experiments import (
     state_churn,
     tree_quality,
 )
+from .collectives import resolve_scheme
 from .experiments.parallel import resolve_jobs, stderr_progress
+from .faults import FaultSchedule
 
 EXPERIMENTS = {
     "fig1": "unicast vs multicast bandwidth (analytic)",
@@ -70,6 +72,25 @@ EXPERIMENTS = {
 }
 
 
+def scheme_spec(text: str) -> str:
+    """argparse ``type=`` for a registry scheme spec: resolve it while
+    parsing, so an unknown scheme or parameter is a usage error."""
+    try:
+        resolve_scheme(text)
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return text
+
+
+def fault_schedule(path: str) -> FaultSchedule:
+    """argparse ``type=`` for a JSON fault schedule: load it while parsing,
+    so a missing or malformed file is a usage error."""
+    try:
+        return FaultSchedule.load(path)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -95,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fanouts", type=int, nargs="+",
                    default=list(fig3_frontier.DEFAULT_FANOUTS),
                    help="rack fanouts (racks per group) to sweep")
-    p.add_argument("--schemes", nargs="+",
+    p.add_argument("--schemes", nargs="+", type=scheme_spec,
                    default=list(fig3_frontier.DEFAULT_SCHEMES),
                    help="registry schemes to sweep (name or name:param=value)")
     p.add_argument("--message-kb", type=int, default=64,
@@ -143,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=faults_demo.RECOVERABLE_SCHEMES)
     p.add_argument("--gpus", type=int, default=32)
     p.add_argument("--message-mb", type=int, default=8)
-    p.add_argument("--schedule", metavar="PATH",
+    p.add_argument("--schedule", metavar="PATH", type=fault_schedule,
                    help="JSON fault schedule (see repro.faults); default "
                         "flaps a loaded spine link mid-Broadcast")
     p.add_argument("--no-restore", action="store_true",
@@ -318,14 +339,11 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(format_cct_table(rows, "failed %"))
     elif args.command == "faults":
-        from .faults import FaultSchedule
-
-        schedule = FaultSchedule.load(args.schedule) if args.schedule else None
         result = faults_demo.run(
             scheme=args.scheme,
             num_gpus=args.gpus,
             message_mb=args.message_mb,
-            schedule=schedule,
+            schedule=args.schedule,
             restore=not args.no_restore,
             seed=args.seed,
             record_trace=args.trace is not None,

@@ -36,6 +36,12 @@ class Group:
     def __post_init__(self) -> None:
         if self.source not in self.members:
             raise ValueError("source GPU must be a group member")
+        # Derived once: the group is frozen, and serving asks on every job.
+        hosts = tuple(sorted({g.host for g in self.members}, key=locality_key))
+        object.__setattr__(self, "_hosts", hosts)
+        object.__setattr__(
+            self, "_receivers", tuple(h for h in hosts if h != self.source.host)
+        )
 
     @property
     def size(self) -> int:
@@ -44,13 +50,13 @@ class Group:
     @property
     def hosts(self) -> list[str]:
         """Distinct hosts in locality order."""
-        return sorted({g.host for g in self.members}, key=locality_key)
+        return list(self._hosts)
 
     @property
     def receiver_hosts(self) -> list[str]:
         """Hosts that must receive over the network (everyone but the
         source's own server)."""
-        return [h for h in self.hosts if h != self.source.host]
+        return list(self._receivers)
 
     def gpus_on(self, host: str) -> list[Gpu]:
         return [g for g in self.members if g.host == host]

@@ -156,14 +156,15 @@ class CollectiveEnv:
         self.group_state.install_group(group_id, demand)
 
     def account_protection(self, group_id: str, protection) -> None:
-        """Charge a protected group's fast-failover entries to the per-switch
-        TCAM accounting (lazily created; plain switch tables, non-strict)."""
-        from ..serve.state import FabricState
+        """Charge a protected group's fast-failover entries (its plan's
+        per-switch counts) to the per-switch TCAM accounting (lazily
+        created; plain switch tables, non-strict)."""
+        from ..serve.state import Demand, FabricState
 
         if self.protection_state is None:
             self.protection_state = FabricState(strict=False)
         self.protection_state.install_group(
-            group_id, protection.tcam_demand(group_id)
+            group_id, Demand(private=protection.entry_counts)
         )
 
     def static_rule_budget(self) -> int:

@@ -27,6 +27,11 @@ from .membership import MembershipError
 from .protocol import ProtocolError, decode, encode, error, ok, require
 from .service import ControlError, ControlPlane
 
+#: Longest request line the server reads, newline excluded (asyncio's
+#: default stream limit).  A longer line is dropped whole and answered
+#: with a ``protocol`` error.
+MAX_LINE_BYTES = 1 << 16
+
 
 class Dispatcher:
     """Synchronous request handler over one control plane."""
@@ -146,7 +151,9 @@ class ControlServer:
     async def serve(self) -> None:
         """Serve until a client sends ``shutdown``."""
         self._done = asyncio.Event()
-        server = await asyncio.start_unix_server(self._client, path=self.path)
+        server = await asyncio.start_unix_server(
+            self._client, path=self.path, limit=MAX_LINE_BYTES
+        )
         async with server:
             await self._done.wait()
         for writer in self._subscribers:
@@ -161,11 +168,11 @@ class ControlServer:
     ) -> None:
         try:
             while not self.dispatcher.shutdown_requested:
-                line = await reader.readline()
-                if not line:
+                line = await _read_line(reader)
+                if line == b"":
                     break
                 try:
-                    req = decode(line.decode("utf-8"))
+                    req = _parse(line)
                 except ProtocolError as exc:
                     await self._send(writer, error(str(exc), kind="protocol"))
                     continue
@@ -211,3 +218,31 @@ class ControlServer:
                 await writer.drain()
             except (ConnectionResetError, BrokenPipeError):
                 self._subscribers.remove(writer)
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next request line; ``b""`` at end of stream, ``None`` for a line
+    longer than the stream limit (consumed up to its newline)."""
+    overlong = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial  # the last line, unterminated
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)  # drop it, keep looking
+            overlong = True
+            continue
+        return None if overlong else line
+
+
+def _parse(line: bytes | None) -> dict:
+    """One request from a raw line; every malformed line is a
+    :class:`ProtocolError`."""
+    if line is None:
+        raise ProtocolError(f"request line longer than {MAX_LINE_BYTES} bytes")
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"request is not UTF-8: {exc}") from exc
+    return decode(text)

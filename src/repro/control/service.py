@@ -266,9 +266,11 @@ class ControlPlane:
                 self._prune_running(record, host)
 
     def _reshape_waiting(self, record: JobRecord, group: ManagedGroup) -> None:
-        """A not-yet-launched job simply gets the new group shape; cached
-        admission demand/route derivations are stale and recompute lazily."""
+        """A not-yet-launched job simply gets the new group shape; its
+        cached plan and the demand/route derivations from it are stale and
+        recompute lazily."""
         record.job = dataclasses.replace(record.job, group=self._group_of(group))
+        record._plan = None
         record._demand = None
         record._route_edges = None
 

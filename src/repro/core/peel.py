@@ -71,6 +71,14 @@ class PeelPlan:
     header_bytes: int
     #: Pre-computed fast-failover backup subtrees (``resilience >= 1`` only).
     protection: ProtectionPlan | None = None
+    #: Directed links the static-mode copies cross, each once, in tree
+    #: order.  Derived when the plan is built, like the protection counts.
+    route_edges: tuple[tuple[str, str], ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.route_edges = tuple(
+            dict.fromkeys(e for t in self.static_trees for e in t.edges)
+        )
 
     @property
     def static_trees(self) -> list[MulticastTree]:

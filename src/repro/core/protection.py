@@ -27,11 +27,6 @@ from ..topology import Topology
 from ..topology.addressing import NodeKind, kind_of
 from .layer_peeling import layer_peeling_tree
 
-#: Entry demand of one protection plan: switch -> entry keys (mirrors
-#: :data:`repro.serve.state.Demand` without importing the serving layer).
-Demand = dict[str, list[object]]
-
-
 def _is_core_link(u: str, v: str) -> bool:
     return kind_of(u) is not NodeKind.HOST and kind_of(v) is not NodeKind.HOST
 
@@ -65,6 +60,14 @@ class ProtectionPlan:
     entries: dict[tuple[int, tuple[str, str]], BackupEntry] = field(
         default_factory=dict
     )
+    #: switch -> fast-failover entries one group on this plan pre-installs
+    #: there.  Derived from ``entries`` when the plan is built, so a cached
+    #: plan carries the same counts as a fresh one.  Read-only: every group
+    #: sharing the plan shares this dict.
+    entry_counts: dict[str, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.entry_counts = _entry_counts(self.entries)
 
     def entry_for(self, tree_index: int, u: str, v: str) -> BackupEntry | None:
         return self.entries.get((tree_index, _link_key(u, v)))
@@ -79,32 +82,27 @@ class ProtectionPlan:
 
     # -- TCAM accounting -------------------------------------------------------
 
-    def tcam_demand(self, group_id: object) -> Demand:
-        """Per-switch fast-failover entries this plan pre-installs.
-
-        One entry per replication point of every backup alternative, keyed
-        by (group, protected link, tree, alternative) — the granularity a
-        fast-failover group table needs to flip one watched link without
-        touching any other group's state.
-        """
-        demand: Demand = {}
-        for (tree_index, link), entry in sorted(self.entries.items()):
-            for alt, backup in enumerate(entry.backups):
-                for switch in sorted(backup.children_map):
-                    if kind_of(switch) is NodeKind.HOST:
-                        continue
-                    demand.setdefault(switch, []).append(
-                        ("ff", group_id, link, tree_index, alt)
-                    )
-        return demand
-
     def total_entries(self) -> int:
-        return sum(len(keys) for keys in self.tcam_demand(None).values())
+        return sum(self.entry_counts.values())
 
     def peak_entries_per_switch(self) -> int:
-        return max(
-            (len(keys) for keys in self.tcam_demand(None).values()), default=0
-        )
+        return max(self.entry_counts.values(), default=0)
+
+
+def _entry_counts(
+    entries: dict[tuple[int, tuple[str, str]], BackupEntry],
+) -> dict[str, int]:
+    """One entry per replication point of every backup alternative: the
+    granularity a fast-failover group table needs to flip one watched link
+    without touching any other group's state.  Each group holds its own
+    copy of these entries, so they are private to the group."""
+    counts: dict[str, int] = {}
+    for _key, entry in sorted(entries.items()):
+        for backup in entry.backups:
+            for switch in sorted(backup.children_map):
+                if kind_of(switch) is not NodeKind.HOST:
+                    counts[switch] = counts.get(switch, 0) + 1
+    return counts
 
 
 def build_protection(
@@ -124,7 +122,7 @@ def build_protection(
     """
     if resilience < 1:
         raise ValueError(f"resilience must be >= 1, got {resilience}")
-    plan = ProtectionPlan(resilience=resilience)
+    entries: dict[tuple[int, tuple[str, str]], BackupEntry] = {}
     for index, tree in enumerate(trees):
         hosts = sorted(
             n for n in tree.nodes if kind_of(n) is NodeKind.HOST and n != source
@@ -135,16 +133,16 @@ def build_protection(
             if not _is_core_link(parent_node, child):
                 continue
             key = (index, _link_key(parent_node, child))
-            if key in plan.entries:
+            if key in entries:
                 continue
             backups = _backup_alternatives(
                 topo, source, hosts, (parent_node, child), resilience
             )
             if backups:
-                plan.entries[key] = BackupEntry(
+                entries[key] = BackupEntry(
                     tree_index=index, link=key[1], backups=tuple(backups)
                 )
-    return plan
+    return ProtectionPlan(resilience=resilience, entries=entries)
 
 
 def _backup_alternatives(

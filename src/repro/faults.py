@@ -178,21 +178,29 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "FaultEvent":
-        if "at_s" in raw:
-            at_s = float(raw["at_s"])
-        elif "at_ms" in raw:
-            at_s = float(raw["at_ms"]) / 1e3
-        else:
-            raise ValueError(f"fault event needs at_s or at_ms: {raw!r}")
-        action = raw.get("action")
-        if action in (SWITCH_DOWN, SWITCH_UP):
-            target = (str(raw["switch"]),)
-        else:
-            link = raw.get("link")
-            if not link or len(link) != 2:
-                raise ValueError(f"fault event needs a 2-node link: {raw!r}")
-            target = (str(link[0]), str(link[1]))
-        return cls(at_s, str(action), target, int(raw.get("count", 1)))
+        """One event from its JSON form; any malformed event raises
+        ValueError."""
+        if not isinstance(raw, dict):
+            raise ValueError(f"fault event must be a JSON object: {raw!r}")
+        try:
+            if "at_s" in raw:
+                at_s = float(raw["at_s"])
+            elif "at_ms" in raw:
+                at_s = float(raw["at_ms"]) / 1e3
+            else:
+                raise ValueError(f"fault event needs at_s or at_ms: {raw!r}")
+            action = raw.get("action")
+            if action in (SWITCH_DOWN, SWITCH_UP):
+                target = (str(raw["switch"]),)
+            else:
+                link = raw.get("link")
+                if not link or len(link) != 2:
+                    raise ValueError(f"fault event needs a 2-node link: {raw!r}")
+                target = (str(link[0]), str(link[1]))
+            count = int(raw.get("count", 1))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed fault event {raw!r}: {exc!r}") from exc
+        return cls(at_s, str(action), target, count)
 
 
 @dataclass

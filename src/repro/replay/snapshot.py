@@ -29,7 +29,7 @@ from hashlib import blake2b
 from typing import Any
 
 #: Bump when the pickled object graph changes incompatibly.
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 _FIELDS = ("version", "kind", "at_s", "events_processed", "checksum", "payload")
 

@@ -31,6 +31,7 @@ from .runtime import (
     serve_jobs,
 )
 from .state import (
+    Demand,
     FabricState,
     IpMulticastStatePolicy,
     OrcaStatePolicy,
@@ -56,6 +57,7 @@ __all__ = [
     "ServeReport",
     "ServeRuntime",
     "serve_jobs",
+    "Demand",
     "FabricState",
     "IpMulticastStatePolicy",
     "OrcaStatePolicy",

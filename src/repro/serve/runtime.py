@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..collectives import (
     BroadcastScheme,
@@ -40,7 +40,10 @@ from ..topology import Topology
 from ..workloads import CollectiveJob
 from .admission import AdmissionPolicy, Decision, FifoAdmission
 from .cache import PlanCache
-from .state import Demand, FabricState, policy_for, tree_switch_fanouts
+from .state import Demand, Entries, FabricState, policy_for, tree_switch_fanouts
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..core.peel import PeelPlan
 
 #: Serving scheme -> the dataplane realization it launches, as a canonical
 #: registry spec string.  IP multicast forwards single copies along a
@@ -139,8 +142,11 @@ class JobRecord:
     completed_s: float | None = None
     cct_s: float | None = None
     handle: CollectiveHandle | None = None
-    _demand: Demand | None = field(default=None, repr=False)
+    _demand: Demand | Entries | None = field(default=None, repr=False)
     _route_edges: tuple | None = field(default=None, repr=False)
+    #: The peel plan behind ``_demand`` and ``_route_edges``, held only
+    #: until launch.
+    _plan: "PeelPlan | None" = field(default=None, repr=False)
 
     @property
     def queue_delay_s(self) -> float:
@@ -315,10 +321,7 @@ class ServeRuntime:
             for length in range(width + 1)
             for value in range(1 << length)
         ]
-        for switch in self.env.topo.switches:
-            table = self.state.table(switch)
-            for key in keys:
-                table.install(key)
+        self.state.preinstall(self.env.topo.switches, keys)
         self.state.reset_counters()
 
     # -- job intake ------------------------------------------------------------
@@ -349,7 +352,7 @@ class ServeRuntime:
 
     # -- admission plumbing ----------------------------------------------------
 
-    def demand_for(self, record: JobRecord) -> Demand:
+    def demand_for(self, record: JobRecord) -> Demand | Entries:
         """The per-switch entries this job's group needs (cached)."""
         if record._demand is None:
             if not self.state_policy.per_group:
@@ -365,20 +368,29 @@ class ServeRuntime:
                 )
         return record._demand
 
-    def _protection_demand(self, record: JobRecord) -> Demand:
+    def _protection_demand(self, record: JobRecord) -> Demand | Entries:
         """Fast-failover entries a protected peel group pre-installs; the
         only *per-group* state a static-rule scheme has, so it rides the
-        install/remove lifecycle (and admission cost) like per-group rules."""
+        install/remove lifecycle (and admission cost) like per-group rules.
+        Each group holds its own copy, so they are private entries."""
         if not self.protection or not self.scheme_name.startswith("peel"):
             return {}
-        group = record.job.group
-        receivers = group.receiver_hosts
-        if not receivers:
+        if not record.job.group.receiver_hosts:
             return {}
-        plan = self.env.plan_broadcast(group.source.host, receivers)
-        if plan.protection is None:
+        protection = self._plan_for(record).protection
+        if protection is None:
             return {}
-        return plan.protection.tcam_demand(record.index)
+        return Demand(private=protection.entry_counts)
+
+    def _plan_for(self, record: JobRecord) -> "PeelPlan":
+        """The job's peel plan, looked up once for its demand and its route
+        edges."""
+        if record._plan is None:
+            group = record.job.group
+            record._plan = self.env.plan_broadcast(
+                group.source.host, group.receiver_hosts
+            )
+        return record._plan
 
     def route_edges_for(self, record: JobRecord) -> tuple:
         """Directed links this job's copies will cross (cached)."""
@@ -388,10 +400,7 @@ class ServeRuntime:
             if not receivers:
                 record._route_edges = ()
             elif self.scheme_name.startswith("peel"):
-                plan = self.env.plan_broadcast(group.source.host, receivers)
-                record._route_edges = tuple(
-                    dict.fromkeys(e for t in plan.static_trees for e in t.edges)
-                )
+                record._route_edges = self._plan_for(record).route_edges
             else:
                 tree = _steiner_tree(self.env, group.source.host, receivers)
                 record._route_edges = tuple(tree.edges)
@@ -431,6 +440,7 @@ class ServeRuntime:
         msg = record.job.message_bytes
         for edge in self.route_edges_for(record):
             self.link_outstanding[edge] = self.link_outstanding.get(edge, 0) + msg
+        record._plan = None  # the demand and route edges are all it served
         # Per-job ECMP streams key on the submit index, not launch order.
         self.env.job_seq = record.index
         handle = self.scheme.launch(self.env, record.job.group, msg, now)
@@ -473,6 +483,7 @@ class ServeRuntime:
 
     def _reject(self, record: JobRecord) -> None:
         record.status = "rejected"
+        record._plan = None
         if self.obs is not None:
             self.obs.registry.counter(
                 f"serve.rejected.{record.job.tenant}"

@@ -7,32 +7,83 @@ overflow accounting all live in :class:`TcamTable`; this module only
 decides *which* entries each scheme needs:
 
 * **peel** — ``k - 1`` prefix rules per switch, installed once at boot and
-  never touched again (zero updates under any churn);
+  never touched again (zero updates under any churn); a protected group
+  adds its plan's fast-failover entries;
 * **orca** — one per-group entry at every switch of the group's multicast
   tree, installed at admission and removed at completion;
 * **ip-multicast** — one entry per *distinct* receiver subset a switch
   serves, refcounted across groups (best case for IP multicast).
+
+An entry is *private* when its key names its group (Orca's and Elmo's
+``("group", id)``; a protected group's fast-failover entries, which arrive
+already counted): no other group can ever reference it, so it is counted
+per switch rather than keyed.  Only *shared* entries (IP multicast's
+``("subset", ...)``) keep their keys, refcounted across groups.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping
 
 from ..state import DEFAULT_CAPACITY, TcamTable
 
-#: Entry demand of one group: switch -> entry keys to install there.
-Demand = dict[str, list[object]]
+#: Keyed entries of one group: switch -> entry keys to install there.
+Entries = Mapping[str, Iterable[object]]
+
+
+def _names_group(key: object) -> bool:
+    return type(key) is tuple and len(key) > 1 and key[0] == "group"
+
+
+@dataclass(frozen=True)
+class Demand:
+    """The switch entries one group needs.
+
+    ``private`` counts, per switch, the entries only this group holds;
+    ``shared`` lists, per switch, the keys other groups may hold too.
+    Both mappings are read-only: groups on one plan share them.
+    """
+
+    private: Mapping[str, int] = field(default_factory=dict)
+    shared: Mapping[str, frozenset] = field(default_factory=dict)
+
+    def __bool__(self) -> bool:
+        return bool(self.private or self.shared)
+
+    @classmethod
+    def of(cls, entries: "Demand | Entries") -> "Demand":
+        """Split keyed entries: keys that name a group are private."""
+        if isinstance(entries, Demand):
+            return entries
+        private: dict[str, int] = {}
+        shared: dict[str, frozenset] = {}
+        for switch, keys in entries.items():
+            keys = frozenset(keys)
+            mine = frozenset(key for key in keys if _names_group(key))
+            if mine:
+                private[switch] = len(mine)
+            if keys - mine:
+                shared[switch] = keys - mine
+        return cls(private, shared)
+
+    def per_switch(self) -> dict[str, int]:
+        """Entries per switch, private and shared together."""
+        out = dict(self.private)
+        for switch, keys in self.shared.items():
+            out[switch] = out.get(switch, 0) + len(keys)
+        return out
 
 
 class FabricState:
-    """Per-switch TCAM tables with refcounted, group-tagged entries.
+    """Per-switch TCAM tables holding every installed group's entries.
 
-    Entries are refcounted by ``(switch, key)`` so schemes whose entries are
-    shared across groups (IP multicast's subset entries) only install on the
-    first reference and remove on the last; per-group keys (Orca) trivially
-    have refcount one.  ``install_group`` tags the references with a group
-    id so ``remove_group`` can undo them without the caller re-deriving the
-    demand.
+    Private entries are per-switch counts on the tables.  Shared entries
+    are refcounted by ``(switch, key)``, so they install on the first
+    reference and remove on the last.  ``install_group`` records each
+    group's :class:`Demand` so ``remove_group`` can undo it without the
+    caller re-deriving it.  Every method that takes a demand also takes
+    keyed :data:`Entries`.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY, strict: bool = False) -> None:
@@ -43,56 +94,69 @@ class FabricState:
         self.tables: dict[str, TcamTable] = {}
         self._refs: dict[tuple[str, object], int] = {}
         self._groups: dict[object, Demand] = {}
+        #: switch -> deploy-once entries that never leave (:meth:`preinstall`).
+        self._static: dict[str, int] = {}
 
     def table(self, switch: str) -> TcamTable:
-        table = self.tables.get(switch)
-        if table is None:
+        try:
+            return self.tables[switch]
+        except KeyError:
             table = TcamTable(capacity=self.capacity, strict=self.strict)
             self.tables[switch] = table
-        return table
+            return table
+
+    def preinstall(self, switches: Iterable[str], keys: Iterable[object]) -> None:
+        """Install deploy-once entries on every switch.  They stay for the
+        fabric's lifetime, so :meth:`feasible` leaves room for them."""
+        keys = tuple(dict.fromkeys(keys))
+        for switch in switches:
+            table = self.table(switch)
+            for key in keys:
+                table.install(key)
+            self._static[switch] = self._static.get(switch, 0) + len(keys)
 
     # -- group lifecycle -------------------------------------------------------
 
-    def new_entries(self, demand: Demand) -> dict[str, int]:
+    def new_entries(self, demand: Demand | Entries) -> dict[str, int]:
         """Per-switch count of entries the demand would actually install
         (already-referenced shared entries are free)."""
-        out: dict[str, int] = {}
-        for switch, keys in demand.items():
-            fresh = sum(1 for k in set(keys) if (switch, k) not in self._refs)
+        demand = Demand.of(demand)
+        out = dict(demand.private)
+        for switch, keys in demand.shared.items():
+            fresh = sum(1 for k in keys if (switch, k) not in self._refs)
             if fresh:
-                out[switch] = fresh
+                out[switch] = out.get(switch, 0) + fresh
         return out
 
-    def fits(self, demand: Demand) -> bool:
+    def fits(self, demand: Demand | Entries) -> bool:
         """Whether installing ``demand`` stays within every switch's TCAM."""
+        for switch, count in self.new_entries(demand).items():
+            if not self.table(switch).would_fit(count):
+                return False
+        return True
+
+    def feasible(self, demand: Demand | Entries) -> bool:
+        """Whether the demand could fit an *empty* fabric, one holding only
+        its deploy-once entries (admission's distinction between "queue and
+        wait" and "reject outright")."""
         return all(
-            self.table(switch).would_fit(count)
-            for switch, count in self.new_entries(demand).items()
+            count <= self.capacity - self._static.get(switch, 0)
+            for switch, count in Demand.of(demand).per_switch().items()
         )
 
-    def feasible(self, demand: Demand) -> bool:
-        """Whether the demand could fit an *empty* fabric (admission's
-        distinction between "queue and wait" and "reject outright")."""
-        return all(
-            len(set(keys)) <= self.capacity for keys in demand.values()
-        )
-
-    def install_group(self, group_id: object, demand: Demand) -> None:
+    def install_group(self, group_id: object, demand: Demand | Entries) -> None:
         if group_id in self._groups:
             raise ValueError(f"group {group_id!r} already installed")
-        for switch, keys in demand.items():
-            for key in set(keys):
-                ref = (switch, key)
-                count = self._refs.get(ref, 0)
-                if count == 0:
-                    self.table(switch).install(key)
-                self._refs[ref] = count + 1
+        demand = Demand.of(demand)
+        self._install(demand)
         self._groups[group_id] = demand
 
-    def update_group(self, group_id: object, demand: Demand) -> bool:
+    def update_group(self, group_id: object, demand: Demand | Entries) -> bool:
         """Re-point an installed group at a new demand, applying only the
-        delta (shared entries that survive the change are never touched, so
-        TCAM ``updates`` counts real churn, not a remove+reinstall).
+        delta (entries that survive the change are never touched, so TCAM
+        ``updates`` counts real churn, not a remove+reinstall).  Every
+        increase is applied before any decrease, so ``peak`` sees the
+        transient high-water mark.
 
         Returns False — leaving the old demand installed — when the fresh
         entries the new demand needs would not fit some switch; the caller
@@ -105,47 +169,41 @@ class FabricState:
                 return False
             self.install_group(group_id, demand)
             return True
-        old_keys = {(s, k) for s, keys in old.items() for k in set(keys)}
-        new_keys = {(s, k) for s, keys in demand.items() for k in set(keys)}
-        added = new_keys - old_keys
-        fresh: dict[str, int] = {}
-        for switch, key in added:
-            if (switch, key) not in self._refs:
-                fresh[switch] = fresh.get(switch, 0) + 1
-        if not all(
-            self.table(switch).would_fit(count)
-            for switch, count in fresh.items()
-        ):
+        new = Demand.of(demand)
+        grown = _beyond(new, old)
+        if not self.fits(grown):
             return False
-        # Iteration order within the add/remove sets is unobservable (adds
-        # all precede removes, tables are keyed, nothing is scheduled), so
-        # plain set iteration keeps this deterministic where it matters.
-        for switch, key in added:
-            ref = (switch, key)
-            count = self._refs.get(ref, 0)
-            if count == 0:
-                self.table(switch).install(key)
-            self._refs[ref] = count + 1
-        for switch, key in old_keys - new_keys:
-            ref = (switch, key)
-            self._refs[ref] -= 1
-            if self._refs[ref] == 0:
-                del self._refs[ref]
-                self.table(switch).remove(key)
-        self._groups[group_id] = demand
+        self._install(grown)
+        self._remove(_beyond(old, new))
+        self._groups[group_id] = new
         return True
 
     def remove_group(self, group_id: object) -> None:
         demand = self._groups.pop(group_id, None)
-        if demand is None:
-            return
-        for switch, keys in demand.items():
-            for key in set(keys):
-                ref = (switch, key)
-                self._refs[ref] -= 1
-                if self._refs[ref] == 0:
-                    del self._refs[ref]
-                    self.table(switch).remove(key)
+        if demand is not None:
+            self._remove(demand)
+
+    def _install(self, demand: Demand) -> None:
+        for switch, count in demand.private.items():
+            self.table(switch).install_counted(count)
+        refs = self._refs
+        for switch, keys in demand.shared.items():
+            for key in keys:
+                count = refs.get((switch, key), 0)
+                if count == 0:
+                    self.table(switch).install(key)
+                refs[(switch, key)] = count + 1
+
+    def _remove(self, demand: Demand) -> None:
+        for switch, count in demand.private.items():
+            self.tables[switch].remove_counted(count)
+        refs = self._refs
+        for switch, keys in demand.shared.items():
+            for key in keys:
+                refs[(switch, key)] -= 1
+                if refs[(switch, key)] == 0:
+                    del refs[(switch, key)]
+                    self.tables[switch].remove(key)
 
     def reset_counters(self) -> None:
         """Zero churn counters (after boot-time pre-installs: deploy-once
@@ -173,6 +231,21 @@ class FabricState:
         return any(t.overflowed for t in self.tables.values())
 
 
+def _beyond(demand: Demand, other: Demand) -> Demand:
+    """The entries ``demand`` holds beyond ``other``, switch by switch."""
+    private = {
+        switch: count - other.private.get(switch, 0)
+        for switch, count in demand.private.items()
+        if count > other.private.get(switch, 0)
+    }
+    shared = {
+        switch: keys - other.shared.get(switch, frozenset())
+        for switch, keys in demand.shared.items()
+        if not keys <= other.shared.get(switch, frozenset())
+    }
+    return Demand(private, shared)
+
+
 # -- per-scheme policies -------------------------------------------------------
 
 
@@ -193,7 +266,7 @@ class StatePolicy:
     per_group: bool = True
     static_rules: bool = False
 
-    def demand(self, group_id: object, tree_switch_fanouts) -> Demand:
+    def demand(self, group_id: object, tree_switch_fanouts) -> Entries:
         """Entries for one group given ``(switch, downstream-subset)`` pairs
         of its multicast tree (see :func:`tree_switch_fanouts`)."""
         raise NotImplementedError
@@ -213,7 +286,7 @@ class PeelStatePolicy(StatePolicy):
             name=name, per_group=False, static_rules=name.startswith("peel")
         )
 
-    def demand(self, group_id: object, tree_switch_fanouts) -> Demand:
+    def demand(self, group_id: object, tree_switch_fanouts) -> Entries:
         return {}
 
 
@@ -223,7 +296,7 @@ class OrcaStatePolicy(StatePolicy):
     def __init__(self) -> None:
         super().__init__(name="orca")
 
-    def demand(self, group_id: object, tree_switch_fanouts) -> Demand:
+    def demand(self, group_id: object, tree_switch_fanouts) -> Entries:
         return {
             switch: [("group", group_id)]
             for switch, _subset in tree_switch_fanouts
@@ -236,8 +309,8 @@ class IpMulticastStatePolicy(StatePolicy):
     def __init__(self) -> None:
         super().__init__(name="ip-multicast")
 
-    def demand(self, group_id: object, tree_switch_fanouts) -> Demand:
-        out: Demand = {}
+    def demand(self, group_id: object, tree_switch_fanouts) -> Entries:
+        out: dict[str, list] = {}
         for switch, subset in tree_switch_fanouts:
             out.setdefault(switch, []).append(("subset", subset))
         return out

@@ -27,7 +27,9 @@ from repro.control import (
     ProtocolRequestError,
     SocketClient,
 )
+from repro.control.client import decode_response
 from repro.control.protocol import error
+from repro.control.server import MAX_LINE_BYTES
 from repro.sim import SimConfig
 from repro.topology import LeafSpine
 
@@ -122,21 +124,33 @@ class TestLocalClientTyped:
             client.dispatcher.handle = original
 
 
+def serve_on_socket(tmp_path, control: ControlPlane):
+    """Start a server thread on a fresh socket; returns (thread, client)."""
+    path = str(tmp_path / "control.sock")
+    server = ControlServer(control, path)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    for _ in range(50):
+        try:
+            return thread, SocketClient(path)
+        except (FileNotFoundError, ConnectionRefusedError):
+            time.sleep(0.05)
+    pytest.fail("server socket never came up")
+
+
+def send_raw(client: SocketClient, payload: bytes) -> dict:
+    """Write raw bytes on the client's connection; read one response."""
+    client._file.write(payload)
+    client._file.flush()
+    line = client._file.readline()
+    assert line, "server closed the connection"
+    return decode_response(line.decode("utf-8"))
+
+
 class TestSocketClientTyped:
     def test_kinds_survive_the_wire(self, tmp_path):
-        path = str(tmp_path / "control.sock")
         control = control_plane()
-        server = ControlServer(control, path)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        for _ in range(50):
-            try:
-                client = SocketClient(path)
-                break
-            except (FileNotFoundError, ConnectionRefusedError):
-                time.sleep(0.05)
-        else:
-            pytest.fail("server socket never came up")
+        thread, client = serve_on_socket(tmp_path, control)
         with client:
             with pytest.raises(ControlPlaneRequestError) as exc:
                 client.submit(5, KB)
@@ -148,6 +162,44 @@ class TestSocketClientTyped:
             with pytest.raises(MembershipRequestError) as exc:
                 client.join(gid, "host:l3:1")
             assert exc.value.kind == "membership"
+            client.shutdown()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+class TestSocketBadBytes:
+    """Bytes no request can be made of get a typed ``protocol`` error, and
+    the connection keeps serving."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pytest.param(b"\xff\xfe\n", id="not-utf8"),
+            pytest.param(b"x" * (MAX_LINE_BYTES + 1) + b"\n", id="over-limit"),
+            pytest.param(
+                b"x" * (4 * MAX_LINE_BYTES) + b"\n", id="several-limits"
+            ),
+            pytest.param(b"{not json\n", id="not-json"),
+        ],
+    )
+    def test_protocol_error_and_keep_serving(self, tmp_path, payload):
+        thread, client = serve_on_socket(tmp_path, control_plane())
+        with client:
+            resp = send_raw(client, payload)
+            assert resp["ok"] is False
+            assert resp["kind"] == "protocol"
+            client.ping()  # the same connection still answers
+            client.shutdown()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    def test_line_at_the_limit_is_read(self, tmp_path):
+        """The limit bounds a line, not a request: padding up to it parses."""
+        thread, client = serve_on_socket(tmp_path, control_plane())
+        request = b'{"op":"ping"}'
+        padded = request + b" " * (MAX_LINE_BYTES - len(request)) + b"\n"
+        with client:
+            assert send_raw(client, padded)["ok"] is True
             client.shutdown()
         thread.join(timeout=5)
         assert not thread.is_alive()

@@ -91,3 +91,47 @@ class TestTcamTable:
             table.install((rule.prefix.value, rule.prefix.length), rule.out_ports)
         assert len(table) == 127
         assert table.utilization < 0.05
+
+
+class TestCountedEntries:
+    """Counted entries move every counter as one keyed install each."""
+
+    @pytest.mark.parametrize("held, n", [(0, 3), (2, 3), (4, 3), (6, 2)])
+    def test_bulk_install_matches_sequential_installs(self, held, n):
+        bulk = TcamTable(capacity=4, strict=False)
+        keyed = TcamTable(capacity=4, strict=False)
+        for i in range(held):
+            bulk.install(("held", i))
+            keyed.install(("held", i))
+        bulk.install_counted(n)
+        for i in range(n):
+            keyed.install(("new", i))
+        assert (bulk.updates, bulk.peak, bulk.overflow_events, len(bulk)) == (
+            keyed.updates, keyed.peak, keyed.overflow_events, len(keyed)
+        )
+
+    def test_counted_entries_take_capacity(self):
+        table = TcamTable(capacity=3)
+        table.install_counted(2)
+        assert table.would_fit(1) and not table.would_fit(2)
+        assert table.utilization == pytest.approx(2 / 3)
+        table.install("k")
+        with pytest.raises(TcamOverflowError):
+            table.install("j")
+
+    def test_strict_table_refuses_the_whole_batch(self):
+        table = TcamTable(capacity=3)
+        table.install_counted(2)
+        with pytest.raises(TcamOverflowError):
+            table.install_counted(2)
+        assert (len(table), table.updates) == (2, 2)
+
+    def test_remove_counted(self):
+        table = TcamTable(capacity=4)
+        table.install_counted(3)
+        table.remove_counted(2)
+        assert (len(table), table.updates, table.peak) == (1, 5, 3)
+        with pytest.raises(ValueError):
+            table.remove_counted(2)
+        with pytest.raises(ValueError):
+            table.install_counted(-1)

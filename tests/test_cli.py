@@ -183,3 +183,54 @@ class TestMain:
     def test_faults_rejects_unrecoverable_scheme(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["faults", "--scheme", "ring"])
+
+
+class TestArgumentBoundary:
+    """A bad scheme spec or fault schedule is a one-line usage error
+    (exit 2), never a traceback from inside the run."""
+
+    def usage_error(self, argv, capsys) -> str:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [line] = [ln for ln in err.splitlines() if "error:" in ln]
+        return line
+
+    @pytest.mark.parametrize(
+        "spec", ["elmo:bogus=1", "nosuch", "elmo:header_bytes"]
+    )
+    def test_frontier_bad_scheme_spec(self, capsys, spec):
+        line = self.usage_error(
+            ["frontier", "--sizes", "2", "--fanouts", "1", "--schemes",
+             "peel", spec],
+            capsys,
+        )
+        assert "argument --schemes" in line
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param('{"at_ms": 1', id="not-json"),
+            pytest.param('{"at_ms": 1}', id="not-a-list"),
+            pytest.param('[3]', id="event-not-an-object"),
+            pytest.param('[{"at_ms": 1, "action": "switch_down"}]',
+                         id="switch-missing"),
+            pytest.param('[{"at_ms": 1, "action": "explode", '
+                         '"link": ["a", "b"]}]', id="unknown-action"),
+            pytest.param('[{"at_ms": [1], "action": "link_down", '
+                         '"link": ["a", "b"]}]', id="time-not-a-number"),
+        ],
+    )
+    def test_faults_bad_schedule(self, capsys, tmp_path, content):
+        path = tmp_path / "faults.json"
+        path.write_text(content)
+        line = self.usage_error(["faults", "--schedule", str(path)], capsys)
+        assert "argument --schedule" in line
+
+    def test_faults_missing_schedule(self, capsys, tmp_path):
+        line = self.usage_error(
+            ["faults", "--schedule", str(tmp_path / "missing.json")], capsys
+        )
+        assert "argument --schedule" in line

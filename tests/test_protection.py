@@ -12,7 +12,7 @@ from repro.api import ScenarioSpec, run
 from repro.core import Peel, build_protection
 from repro.experiments import failover
 from repro.experiments.scenarios import fault_scenario, protected_fault_scenario
-from repro.serve import PlanCache, ServeRuntime
+from repro.serve import Demand, FabricState, PlanCache, ServeRuntime
 from repro.sim import SimConfig
 from repro.topology import LeafSpine
 from repro.workloads import generate_jobs
@@ -51,17 +51,29 @@ class TestBuildProtection:
             build_protection(topo, [], topo.hosts[0], 0)
 
     def test_tcam_demand_is_per_group(self):
+        """Two groups on one plan each hold their own fast-failover
+        entries: one per replication point of every backup alternative."""
         _topo, plan = self.topo_plan()
-        demand_a = plan.protection.tcam_demand("group-a")
-        demand_b = plan.protection.tcam_demand("group-b")
-        assert demand_a.keys() == demand_b.keys()
-        flat = {k for keys in demand_a.values() for k in keys}
-        assert all(key[1] == "group-a" for key in flat)
-        assert plan.protection.total_entries() == sum(
-            len(keys) for keys in demand_a.values()
-        )
+        counts = plan.protection.entry_counts
+        expected: dict[str, int] = {}
+        for entry in plan.protection.entries.values():
+            for backup in entry.backups:
+                for switch in backup.children_map:
+                    if not switch.startswith("host:"):
+                        expected[switch] = expected.get(switch, 0) + 1
+        assert counts == expected
+        assert plan.protection.total_entries() == sum(expected.values())
         assert plan.protection.peak_entries_per_switch() == max(
-            len(keys) for keys in demand_a.values()
+            expected.values()
+        )
+        state = FabricState(capacity=64)
+        state.install_group("group-a", Demand(private=counts))
+        state.install_group("group-b", Demand(private=counts))
+        for switch, count in counts.items():
+            assert len(state.table(switch)) == 2 * count
+        state.remove_group("group-a")
+        assert sum(len(t) for t in state.tables.values()) == (
+            plan.protection.total_entries()
         )
 
 
