@@ -4,9 +4,10 @@
 For each golden scenario (headline broadcast batch, mid-collective link
 flap, two-tenant serving stream): run it straight through, then checkpoint
 it at three cut points, resume each checkpoint from serialized snapshot
-bytes, and require CCTs, golden-trace digests and fired-event digests to
-match exactly.  Exits non-zero — printing the first diverging fabric
-event — if any resumed run drifts.  CI runs this on every push::
+bytes, and require the run kind's whole fact set (CCTs, accounting,
+golden-trace and fired-event digests; the report for serving) to match
+exactly.  Exits non-zero — naming every differing fact — if any resumed
+run drifts.  CI runs this on every push::
 
     python scripts/replay_smoke.py
 """

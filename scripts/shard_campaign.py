@@ -5,13 +5,12 @@ across shard worker processes, proven byte-identical to a serial run.
 Builds a pod-local multi-tenant workload on a fat-tree, serves it through
 :class:`repro.shard.ShardedServe` (one forked worker per shard, lockstep
 conservative windows), then serves the *same* submit stream through a
-single serial :class:`repro.serve.ServeRuntime` and compares everything:
-
-* the chained golden-trace digest (every fabric event, renamed to global
-  transfer spellings, hashed in global order);
-* the fired-event digest (time, global sequence number) chain;
-* the full per-tenant :class:`ServeReport` (SLO rows, goodput, cache and
-  TCAM counters).
+single serial :class:`repro.serve.ServeRuntime` and compares the serve
+fact set (:mod:`repro.replay.facts`): the chained golden-trace digest
+(every fabric event, renamed to global transfer spellings, hashed in
+global order), the fired-event digest chain, events processed, and the
+full per-tenant :class:`ServeReport` (SLO rows, goodput, cache and TCAM
+counters).
 
 Invariant cleanliness is enforced on both sides: every shard runs
 ``finalize_checks()`` and raises on any violation, as does the serial
@@ -34,6 +33,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.metrics import format_slo_table  # noqa: E402
+from repro.replay.facts import diff_facts, serve_facts  # noqa: E402
 from repro.serve import ServeRuntime  # noqa: E402
 from repro.serve.cache import PlanCache  # noqa: E402
 from repro.shard import ServeShardSpec, pod_local_jobs, serve_sharded  # noqa: E402
@@ -144,19 +144,11 @@ def main(argv: list[str] | None = None) -> int:
         serial.env.sim.attach_digest()
         serial.submit_all(jobs)
         serial.run()
-        serial_report = serial.report()
+        serial_facts = serve_facts(serial)
         serial_wall = time.perf_counter() - t0
         print(f"serial: {serial.env.sim.processed} events in "
               f"{serial_wall:.1f}s", file=sys.stderr)
-        mismatches = []
-        if serial.env.trace.digest() != sharded.trace_digest:
-            mismatches.append("golden-trace digest")
-        if serial.env.sim.event_digest.hexdigest() != sharded.event_digest:
-            mismatches.append("event digest")
-        if serial_report != sharded.report:
-            mismatches.append("serve report")
-        if serial.env.sim.processed != sharded.events_processed:
-            mismatches.append("events processed")
+        mismatches = diff_facts(serial_facts, serve_facts(sharded))
         identical = not mismatches
         summary.update(
             serial_wall_s=round(serial_wall, 2),

@@ -1,14 +1,19 @@
 #!/usr/bin/env python
-"""Run the checkpoint/replay soak harness (wrapper over ``repro soak``).
+"""Run the soak loop (wrapper over ``repro soak``).
 
-Each epoch runs a randomized scenario to a random cut point, snapshots it
-to disk, restores the snapshot, and requires the resumed run to match the
-uninterrupted one byte-for-byte with invariants clean.  Progress persists
-to ``--state-dir/soak.json`` after every epoch, so a killed run — SIGKILL
-included — resumes where it left off::
+Each epoch runs a reference copy of a ``(seed, epoch)``-keyed workload,
+runs a second copy to a cut, snapshots it to disk and finishes it from the
+snapshot file; the resumed run must match the reference on its run kind's
+whole fact set with invariants clean.  ``--target`` picks randomized
+scenarios, the control-plane churn campaign or pod-local specs on 2 shards
+against their serial run.  Progress persists to
+``--state-dir/soak.json`` after every step, so a killed run — SIGKILL
+included — resumes where it left off; ``--kill-after-cut`` dies on
+purpose once the first snapshot is durable::
 
-    python scripts/soak.py --epochs 5 --state-dir /tmp/soak
-    kill -9 %1 && python scripts/soak.py --epochs 5 --state-dir /tmp/soak
+    python scripts/soak.py --target control --epochs 2 --state-dir /tmp/s \
+        --kill-after-cut                                  # rc 137
+    python scripts/soak.py --target control --epochs 2 --state-dir /tmp/s
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ a bare registered name, or a live scheme instance.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -321,7 +322,10 @@ def fabric_accounting(env: CollectiveEnv, handles) -> dict:
     maxima, so traffic-closed shards merge their accounts field by field.
     """
     injector = env.fault_injector
-    backups = env.protection_state
+    backups = Counter()  # fast-failover entries per switch (never removed)
+    for handle in handles:
+        if handle.protection is not None:
+            backups.update(handle.protection.entry_counts)
     return {
         "total_bytes": env.network.total_bytes_sent(),
         "wasted_bytes": env.network.wasted_bytes,
@@ -329,14 +333,8 @@ def fabric_accounting(env: CollectiveEnv, handles) -> dict:
         "failure_drops": env.network.failure_drops,
         "repeels": list(injector.repeels) if injector is not None else [],
         "failovers": list(injector.failovers) if injector is not None else [],
-        "backup_tcam_entries": (
-            sum(len(t) for t in backups.tables.values())
-            if backups is not None
-            else 0
-        ),
-        "backup_tcam_peak_per_switch": (
-            backups.peak_entries_per_switch if backups is not None else 0
-        ),
+        "backup_tcam_entries": sum(backups.values()),
+        "backup_tcam_peak_per_switch": max(backups.values(), default=0),
         "static_rule_budget": env.static_rule_budget() if env.protection else 0,
         "header_overhead_bytes": sum(
             t.header_bytes * (t.num_segments + t.retransmissions)

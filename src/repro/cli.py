@@ -7,7 +7,7 @@
     python -m repro faults --schedule my_faults.json
     python -m repro churn --num-jobs 1000
     python -m repro replay --scenario fault
-    python -m repro soak --epochs 5 --state-dir /tmp/soak
+    python -m repro soak --target control --epochs 5 --state-dir /tmp/soak
     python -m repro list
 
 Flag conventions: ``--num-jobs`` is always *simulated collectives per
@@ -44,7 +44,8 @@ from .experiments import (
 )
 from .collectives import resolve_scheme
 from .experiments.parallel import resolve_jobs, stderr_progress
-from .faults import FaultSchedule
+from .faults import FaultSchedule, FaultTargetError
+from .replay.soak import TARGETS as SOAK_TARGETS
 
 EXPERIMENTS = {
     "fig1": "unicast vs multicast bandwidth (analytic)",
@@ -172,6 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", metavar="PATH",
                    help="save the run's golden-trace digest to PATH")
     p.add_argument("--seed", type=int, default=3)
+    # Only the built fabric can tell a schedule names a link it lacks.
+    p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("failover", help=EXPERIMENTS["failover"])
     p.add_argument("--protection", type=int, nargs="+", default=[0, 1],
@@ -253,14 +256,21 @@ def build_parser() -> argparse.ArgumentParser:
                         "headline; 'all' runs every one)")
 
     p = sub.add_parser("soak", help=EXPERIMENTS["soak"])
+    p.add_argument("--target", default="scenario", choices=SOAK_TARGETS,
+                   help="randomized scenarios, the control-plane churn "
+                        "campaign, or 2-shard pod-local specs vs serial")
     p.add_argument("--epochs", type=int, default=3,
-                   help="randomized epochs to verify (resumes where a "
-                        "killed run left off)")
+                   help="epochs to verify (resumes where a killed run "
+                        "left off)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--state-dir", default="soak-state", metavar="DIR",
                    help="manifest + snapshot directory (survives kills)")
     p.add_argument("--fault-probability", type=float, default=0.6,
-                   help="chance an epoch includes a mid-run link flap")
+                   help="chance a scenario epoch includes a mid-run link "
+                        "flap")
+    p.add_argument("--kill-after-cut", action="store_true",
+                   help="SIGKILL self once the first unfinished epoch's "
+                        "snapshot is durable (exercises resume-from-disk)")
 
     p = sub.add_parser("shard", help=EXPERIMENTS["shard"])
     p.add_argument("--shards", type=int, default=4,
@@ -339,15 +349,18 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(format_cct_table(rows, "failed %"))
     elif args.command == "faults":
-        result = faults_demo.run(
-            scheme=args.scheme,
-            num_gpus=args.gpus,
-            message_mb=args.message_mb,
-            schedule=args.schedule,
-            restore=not args.no_restore,
-            seed=args.seed,
-            record_trace=args.trace is not None,
-        )
+        try:
+            result = faults_demo.run(
+                scheme=args.scheme,
+                num_gpus=args.gpus,
+                message_mb=args.message_mb,
+                schedule=args.schedule,
+                restore=not args.no_restore,
+                seed=args.seed,
+                record_trace=args.trace is not None,
+            )
+        except FaultTargetError as exc:
+            args.usage_error(f"argument --schedule: {exc}")
         print(faults_demo.format_result(result))
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as fh:
@@ -425,6 +438,8 @@ def main(argv: list[str] | None = None) -> int:
                 seed=args.seed,
                 state_dir=args.state_dir,
                 fault_probability=args.fault_probability,
+                target=args.target,
+                kill_after_cut=args.kill_after_cut,
             ),
             progress=_stderr_line,
         )
@@ -440,28 +455,15 @@ def _stderr_line(line: str) -> None:
 
 def _replay_smoke(scenario: str) -> int:
     """Checkpoint each requested golden scenario at its canonical cut
-    points, resume from serialized snapshots, and compare digests."""
+    points, resume from serialized snapshots, and compare fact sets."""
     from .experiments import scenarios
-    from .replay import verify_cut_points, verify_serve_replay
+    from .replay import verify_cut_points
 
     names = scenarios.REPLAY_SCENARIOS if scenario == "all" else (scenario,)
     failed = 0
     for name in names:
-        if name == "serve":
-            _, cuts = scenarios.serve_runtime()
-            reports = [
-                verify_serve_replay(lambda: scenarios.serve_runtime()[0], cut)
-                for cut in cuts
-            ]
-        else:
-            builder = (
-                scenarios.headline_scenario
-                if name == "headline"
-                else scenarios.fault_scenario
-            )
-            spec, cuts = builder()
-            reports = verify_cut_points(spec, cuts)
-        for report in reports:
+        subject, cuts = scenarios.REPLAY_SCENARIOS[name]()
+        for report in verify_cut_points(subject, cuts):
             print(f"{name}: {report.describe()}")
             failed += not report.identical
     if failed:
@@ -474,9 +476,10 @@ def _shard_demo(args: argparse.Namespace) -> int:
     """Run a pod-local workload serially and sharded; prove them equal.
 
     Scenario mode times both runs and reports the speedup alongside the
-    shared digests; ``--serve`` mode compares a sharded serving campaign's
-    rebuilt report (and both digests) against a serial ``ServeRuntime``
-    over the same submit stream.  Exit 1 on any byte difference.
+    identity proof; ``--serve`` mode compares a sharded serving campaign
+    against a serial ``ServeRuntime`` over the same submit stream.  Both
+    compare their run kind's whole fact set (:mod:`repro.replay.facts`).
+    Exit 1 on any difference.
     """
     from .api import ScenarioSpec
     from .experiments.common import sim_config
@@ -489,6 +492,7 @@ def _shard_demo(args: argparse.Namespace) -> int:
 
     if args.serve:
         from .metrics import format_slo_table
+        from .replay.facts import diff_facts, finish, serve_facts, start
         from .serve import ServeRuntime
         from .shard import ServeShardSpec, serve_sharded
 
@@ -504,14 +508,8 @@ def _shard_demo(args: argparse.Namespace) -> int:
         )
         sharded = serve_sharded(sspec, processes=processes)
         serial = ServeRuntime(topo, "peel", config, record_trace=True)
-        serial.env.sim.attach_digest()
         serial.submit_all(jobs)
-        serial.run()
-        identical = (
-            serial.report() == sharded.report
-            and serial.env.trace.digest() == sharded.trace_digest
-            and serial.env.sim.event_digest.hexdigest() == sharded.event_digest
-        )
+        differing = diff_facts(finish(start(serial)), serve_facts(sharded))
         print(format_slo_table(sharded.report.tenants + [sharded.report.total]))
         print(
             f"{len(jobs)} jobs on {sharded.shards} shards, "
@@ -529,15 +527,15 @@ def _shard_demo(args: argparse.Namespace) -> int:
             shards=args.shards,
         )
         result = shard_speedup(spec, processes=processes)
-        identical = result.byte_identical
+        differing = result.differing
         print(
             f"{len(jobs)} jobs, {result.events} events: serial "
             f"{result.serial_wall_s:.3f}s, {result.shards} shards "
             f"{result.sharded_wall_s:.3f}s ({result.speedup:.2f}x)"
         )
-    verdict = "byte-identical" if identical else "DIVERGED"
+    verdict = f"DIVERGED in {differing}" if differing else "byte-identical"
     print(f"serial vs sharded: {verdict}")
-    return 0 if identical else 1
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

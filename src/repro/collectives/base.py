@@ -97,6 +97,8 @@ class CollectiveHandle:
         #: the control plane can graft/prune live membership changes; relay
         #: schemes leave it empty (no mid-flight membership support).
         self.transfers: list = []
+        #: The launched PEEL plan's fast-failover ``ProtectionPlan``, if any.
+        self.protection = None
         self.network_complete_s: float | None = None
         #: Optional hook fired once, at network completion, with
         #: ``(handle, now)`` — the serving runtime uses it to free admission

@@ -62,9 +62,6 @@ class CollectiveEnv:
         #: Resilience level F: PEEL plans carry F edge-disjoint backup
         #: subtrees per protected link (0 = reactive recovery only).
         self.protection = protection
-        #: Lazily-created :class:`repro.serve.state.FabricState` holding the
-        #: fast-failover entries of every protected group (TCAM accounting).
-        self.protection_state = None
         #: Lazily-created :class:`repro.serve.state.FabricState` holding
         #: *per-group* forwarding entries schemes install (ip-multicast
         #: subsets, Elmo's s-rule fallback).  Stays ``None`` for schemes
@@ -154,18 +151,6 @@ class CollectiveEnv:
         if self.group_state is None:
             self.group_state = FabricState(strict=False)
         self.group_state.install_group(group_id, demand)
-
-    def account_protection(self, group_id: str, protection) -> None:
-        """Charge a protected group's fast-failover entries (its plan's
-        per-switch counts) to the per-switch TCAM accounting (lazily
-        created; plain switch tables, non-strict)."""
-        from ..serve.state import Demand, FabricState
-
-        if self.protection_state is None:
-            self.protection_state = FabricState(strict=False)
-        self.protection_state.install_group(
-            group_id, Demand(private=protection.entry_counts)
-        )
 
     def static_rule_budget(self) -> int:
         """The paper's per-switch static-rule budget (2^(w+1) − 1 prefix

@@ -19,15 +19,16 @@ from .env import CollectiveEnv
 from .registry import register_scheme
 
 
-def _steiner_tree(env: CollectiveEnv, source: str, receivers: list[str]):
-    """Best available multicast tree on the env's *current* topology."""
-    if env.topo.is_symmetric:
+def steiner_tree(topo, source: str, receivers: list[str]):
+    """Best available multicast tree on ``topo`` (pass an env's *current*
+    topology): the single-tree schemes' planner."""
+    if topo.is_symmetric:
         from ..core import optimal_symmetric_tree
 
-        return optimal_symmetric_tree(env.topo, source, receivers)
+        return optimal_symmetric_tree(topo, source, receivers)
     if len(receivers) + 1 <= MAX_EXACT_TERMINALS:
-        return exact_steiner_tree(env.topo.graph, source, receivers)
-    return metric_closure_tree(env.topo.graph, source, receivers)
+        return exact_steiner_tree(topo.graph, source, receivers)
+    return metric_closure_tree(topo.graph, source, receivers)
 
 
 class SteinerReplan:
@@ -42,7 +43,7 @@ class SteinerReplan:
         self.source = source
 
     def __call__(self, remaining: list[str]) -> list:
-        return [_steiner_tree(self.env, self.source, remaining)]
+        return [steiner_tree(self.env.topo, self.source, remaining)]
 
 
 class PeelReplan:
@@ -84,7 +85,7 @@ class OptimalBroadcast(BroadcastScheme):
         if not receivers:
             return handle
         source = group.source.host
-        tree = _steiner_tree(env, source, receivers)
+        tree = steiner_tree(env.topo, source, receivers)
         transfer = Transfer(
             env.network,
             env.next_transfer_name("optimal"),
@@ -162,7 +163,7 @@ class PeelBroadcast(BroadcastScheme):
                 transfer, PeelReplan(env, source, self.max_prefixes_per_fanout)
             )
         if plan.protection is not None and plan.protection.entries:
-            env.account_protection(transfer.name, plan.protection)
+            handle.protection = plan.protection
             if env.fault_injector is not None:
                 env.fault_injector.protect(transfer, plan.protection)
         transfer.start()

@@ -19,7 +19,7 @@ from ..sim import Transfer
 from ..topology import addressing as addr
 from .base import BroadcastScheme, CollectiveHandle, Group
 from .env import CollectiveEnv
-from .multicast import SteinerReplan, _steiner_tree
+from .multicast import SteinerReplan, steiner_tree
 from .registry import register_scheme
 
 GPUS_PER_SERVER = 8
@@ -29,6 +29,22 @@ def server_of(endpoint: str, gpus_per_server: int = GPUS_PER_SERVER) -> tuple:
     """The physical server an endpoint NIC belongs to."""
     info = addr.parse(endpoint)
     return (info.pod, info.tor, info.index // gpus_per_server)
+
+
+def rack_agents(topo, source: str, hosts, gpus_per_server: int = GPUS_PER_SERVER):
+    """``(racks, agents)``: ``hosts`` by rack and server, and each rack's agent
+    — the source for its own rack, else its lowest server's first host."""
+    racks: dict[str, dict[tuple, list[str]]] = {}
+    for endpoint in hosts:
+        rack = topo.tor_of(endpoint)
+        server = server_of(endpoint, gpus_per_server)
+        racks.setdefault(rack, {}).setdefault(server, []).append(endpoint)
+    src_rack = topo.tor_of(source)
+    agents = {
+        rack: source if rack == src_rack else servers[min(servers)][0]
+        for rack, servers in sorted(racks.items())
+    }
+    return racks, agents
 
 
 # The per-transfer callbacks below are callable classes rather than
@@ -109,29 +125,14 @@ class OrcaBroadcast(BroadcastScheme):
             start += env.controller.setup_delay()
         nvlink_s = message_bytes / env.config.nvlink_bytes_per_s
 
-        # Rack -> server -> endpoints, all group members included.
-        racks: dict[str, dict[tuple, list[str]]] = {}
-        for endpoint in group.hosts:
-            rack = env.topo.tor_of(endpoint)
-            server = server_of(endpoint, self.gpus_per_server)
-            racks.setdefault(rack, {}).setdefault(server, []).append(endpoint)
-        src_rack = env.topo.tor_of(source)
-        src_server = server_of(source, self.gpus_per_server)
-
-        # One agent endpoint per rack (the source acts for its own rack).
-        agents: dict[str, str] = {}
-        for rack, servers in sorted(racks.items()):
-            if rack == src_rack:
-                agents[rack] = source
-            else:
-                first_server = min(servers)
-                agents[rack] = servers[first_server][0]
-
+        racks, agents = rack_agents(
+            env.topo, source, group.hosts, self.gpus_per_server
+        )
         remote_agents = sorted(a for a in agents.values() if a != source)
         trunk: Transfer | None = None
         if remote_agents:
             # The controller computes a proper multicast tree to the agents.
-            tree = _steiner_tree(env, source, remote_agents)
+            tree = steiner_tree(env.topo, source, remote_agents)
             agent_callbacks = {}
             for rack, servers in racks.items():
                 agent = agents[rack]

@@ -36,7 +36,7 @@ from ..state.rsbf import bloom_header_bits
 from ..topology.addressing import NodeKind, kind_of
 from .base import BroadcastScheme, CollectiveHandle, Group
 from .env import CollectiveEnv
-from .multicast import _steiner_tree
+from .multicast import steiner_tree
 from .registry import register_scheme
 
 
@@ -92,7 +92,7 @@ class SourceRoutedReplan:
         self.header_bytes = header_bytes
 
     def __call__(self, remaining: list[str]) -> list:
-        tree = _steiner_tree(self.env, self.source, remaining)
+        tree = steiner_tree(self.env.topo, self.source, remaining)
         enc = self.scheme._encode(self.env, tree, group_id=None)
         if enc.strip_bytes:
             worst = max(
@@ -137,7 +137,7 @@ class SourceRoutedBroadcast(BroadcastScheme):
         if not receivers:
             return handle
         source = group.source.host
-        tree = _steiner_tree(env, source, receivers)
+        tree = steiner_tree(env.topo, source, receivers)
         name = env.next_transfer_name(self.name)
         enc = self._encode(env, tree, group_id=name)
         if enc.strip_bytes:

@@ -181,9 +181,9 @@ class CongestionReplanner:
             if control.runtime.scheme_name.startswith("peel"):
                 trees = env.peel().plan(transfer.src_host, remaining).static_trees
             else:
-                from ..collectives.multicast import _steiner_tree
+                from ..collectives.multicast import steiner_tree
 
-                trees = [_steiner_tree(env, transfer.src_host, remaining)]
+                trees = [steiner_tree(env.topo, transfer.src_host, remaining)]
         except (ValueError, nx.NetworkXNoPath, nx.NodeNotFound):
             self.rejected += 1
             return False

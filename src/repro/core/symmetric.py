@@ -92,7 +92,9 @@ def _leafspine_tree(
     if remote_leaves:
         spine = _pick_spine(topo, remote_leaves | {src_leaf}, source)
         parent[spine] = src_leaf
-        for leaf in remote_leaves:
+        # Sorted, so the tree's edge order (which callers such as the fault
+        # demos scan for a loaded link) does not vary with the hash seed.
+        for leaf in sorted(remote_leaves):
             _require_edge(topo, spine, leaf)
             parent[leaf] = spine
     return MulticastTree(source, parent)

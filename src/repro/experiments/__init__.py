@@ -12,7 +12,6 @@ from .parallel import (
     SweepPoint,
     flatten,
     resolve_jobs,
-    run_scenario_sharded,
     run_sweep,
     shard_speedup,
     stderr_progress,
@@ -27,7 +26,6 @@ __all__ = [
     "SweepPoint",
     "flatten",
     "resolve_jobs",
-    "run_scenario_sharded",
     "run_sweep",
     "shard_speedup",
     "stderr_progress",

@@ -120,6 +120,31 @@ def _build_campaign(num_jobs: int, seed: int, gap_scale: float = 1.0):
     return topo, groups, ops
 
 
+def load_campaign(
+    num_jobs: int, seed: int, gap_scale: float = 1.0, **control_kwargs
+) -> tuple[ControlPlane, float]:
+    """The campaign's service, every group created and every op scheduled
+    but nothing run, plus the last op's time.  ``control_kwargs`` (e.g.
+    admission, replanner) reach the :class:`ControlPlane`."""
+    topo, groups, ops = _build_campaign(num_jobs, seed, gap_scale)
+    control = ControlPlane(
+        topo,
+        "peel",
+        SimConfig(segment_bytes=65536, seed=seed),
+        check_invariants=True,
+        obs=Observability(sample_interval_s=100e-6),
+        **control_kwargs,
+    )
+    client = LocalClient(control)
+    gids = [
+        client.create_group(tenant, source, members)
+        for tenant, source, members in groups
+    ]
+    for op, gid, arg, at in ops:  # submit(bytes), join(host), leave(host)
+        getattr(client, op)(gids[gid], arg, at_s=at)
+    return control, max(op[-1] for op in ops)
+
+
 def _point(
     replan: bool,
     num_jobs: int,
@@ -136,37 +161,15 @@ def _point(
     ``gap_scale`` paces the arrival clocks (see :func:`_build_campaign`);
     large campaigns should pace to a subcritical load.
     """
-    topo, groups, ops = _build_campaign(num_jobs, seed, gap_scale)
-    obs = Observability(sample_interval_s=100e-6)
     replanner = CongestionReplanner() if replan else None
     admission = (
         LinkLoadAdmission(admit_mb << 20) if admit_mb is not None else None
     )
-    control = ControlPlane(
-        topo,
-        "peel",
-        SimConfig(segment_bytes=65536, seed=seed),
-        admission=admission,
-        check_invariants=True,
-        obs=obs,
-        replanner=replanner,
+    control, _ = load_campaign(
+        num_jobs, seed, gap_scale, admission=admission, replanner=replanner
     )
-    client = LocalClient(control)
-    gids = [
-        client.create_group(tenant, source, members)
-        for tenant, source, members in groups
-    ]
-    for op in ops:
-        if op[0] == "submit":
-            _, gid, message_bytes, at = op
-            client.submit(gids[gid], message_bytes, at_s=at)
-        elif op[0] == "join":
-            _, gid, host, at = op
-            client.join(gids[gid], host, at_s=at)
-        else:
-            _, gid, host, at = op
-            client.leave(gids[gid], host, at_s=at)
-    client.run()
+    obs = control.runtime.obs
+    control.run()
     violations = control.finalize_checks()
     report = control.report()
     counters = control.counters

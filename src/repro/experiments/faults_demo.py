@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 from ..api import ScenarioSpec
 from ..api import run as run_scenario
-from ..collectives import resolve_scheme
+from ..collectives import locality_key, resolve_scheme
+from ..collectives.multicast import steiner_tree
+from ..collectives.orca import rack_agents
 from ..core import Peel
 from ..faults import FaultSchedule
-from ..steiner import metric_closure_tree
 from ..topology import LeafSpine
 from ..workloads import generate_jobs
 from .common import MB, sim_config
@@ -46,45 +47,18 @@ class FaultDemoResult:
     trace_digest: str | None
 
 
-def _orca_trunk(topo, source: str, receivers: list[str]):
-    """Replicates :class:`~repro.collectives.orca.OrcaBroadcast`'s
-    controller trunk — the optimal tree from the source to one agent NIC
-    per remote rack — so the demo fails a link the trunk actually uses."""
-    from ..collectives import locality_key
-    from ..collectives.orca import server_of
-
-    racks: dict[str, dict[tuple, list[str]]] = {}
-    for endpoint in sorted({source, *receivers}, key=locality_key):
-        rack = topo.tor_of(endpoint)
-        racks.setdefault(rack, {}).setdefault(server_of(endpoint), []).append(endpoint)
-    src_rack = topo.tor_of(source)
-    agents = [
-        servers[min(servers)][0]
-        for rack, servers in sorted(racks.items())
-        if rack != src_rack
-    ]
-    if topo.is_symmetric:
-        from ..core import optimal_symmetric_tree
-
-        return optimal_symmetric_tree(topo, source, agents)
-    return metric_closure_tree(topo.graph, source, agents)
-
-
 def pick_loaded_link(topo, scheme_name: str, source: str, receivers: list[str]):
-    """A spine-leaf link the scheme's plan actually uses (so failing it
-    mid-run forces a re-plan rather than a no-op)."""
+    """A spine-leaf link the scheme's own planner puts in its plan (so
+    failing it mid-run forces a re-plan rather than a no-op)."""
     if scheme_name.startswith("peel"):
         trees = Peel(topo).plan(source, receivers).static_trees
     elif scheme_name == "orca":
-        trees = [_orca_trunk(topo, source, receivers)]
-    elif topo.is_symmetric:
-        # Single-tree schemes (optimal, the source-routed family) plan
-        # the optimal symmetric tree on symmetric fabrics.
-        from ..core import optimal_symmetric_tree
-
-        trees = [optimal_symmetric_tree(topo, source, receivers)]
+        hosts = sorted({source, *receivers}, key=locality_key)
+        _, agents = rack_agents(topo, source, hosts)
+        remote = sorted(a for a in agents.values() if a != source)
+        trees = [steiner_tree(topo, source, remote)]
     else:
-        trees = [metric_closure_tree(topo.graph, source, receivers)]
+        trees = [steiner_tree(topo, source, receivers)]
     for tree in trees:
         for child, parent in tree.parent.items():
             if parent is not None and parent.startswith("spine"):
@@ -108,7 +82,8 @@ def run(
 
     Without an explicit ``schedule``, a spine-leaf link carrying the
     collective goes down at 40% of the clean CCT (and comes back after the
-    clean CCT would have elapsed, unless ``restore=False``).
+    clean CCT would have elapsed, unless ``restore=False``).  A schedule
+    naming a link or switch the fabric lacks raises ``FaultTargetError``.
     """
     if scheme not in RECOVERABLE_SCHEMES:
         raise ValueError(
@@ -117,6 +92,8 @@ def run(
         )
     scheme_obj = resolve_scheme(scheme)
     topo = LeafSpine(spines, leaves, hosts_per_leaf)
+    if schedule is not None:
+        schedule.validate(topo)
     msg = message_mb * MB
     cfg = sim_config(msg, seed=seed)
     jobs = generate_jobs(topo, 1, num_gpus, msg, gpus_per_host=1, seed=seed)

@@ -22,13 +22,7 @@ from dataclasses import dataclass, replace
 from ..api import ScenarioSpec
 from ..api import run as run_scenario
 from ..obs import Observability
-from ..serve import ServeRuntime, TcamAdmission
-from ..topology import LeafSpine
-from ..workloads import TenantSpec, generate_jobs, generate_tenant_jobs
-from .common import sim_config
-from .scenarios import fault_scenario, headline_scenario
-
-KB = 1024
+from .scenarios import fault_scenario, headline_scenario, serve_runtime
 
 SCENARIOS = ("headline", "fault", "serve", "elmo", "bert")
 
@@ -82,23 +76,11 @@ def run_fault(
 def run_serve(
     sample_interval_s: float = 50e-6, detail: str = "transfer"
 ) -> ObsResult:
-    """Two-tenant serving stream under a TCAM admission budget: per-tenant
-    SLO histograms plus periodic queue/TCAM snapshots on the timeline."""
-    topo = LeafSpine(2, 4, 2)
-    tenants = [
-        TenantSpec("train", num_jobs=6, num_gpus=6, message_bytes=128 * KB,
-                   offered_load=0.5),
-        TenantSpec("infer", num_jobs=8, num_gpus=4, message_bytes=64 * KB,
-                   offered_load=0.5),
-    ]
-    jobs = generate_tenant_jobs(topo, tenants, gpus_per_host=1, seed=9)
-    cfg = sim_config(128 * KB, seed=9)
+    """Two-tenant serving stream under a TCAM admission budget (the replay
+    suite's serve scenario): per-tenant SLO histograms plus periodic
+    queue/TCAM snapshots on the timeline."""
     obs = _observability(sample_interval_s, detail)
-    runtime = ServeRuntime(
-        topo, "ip-multicast", cfg, admission=TcamAdmission(),
-        tcam_capacity=16, obs=obs,
-    )
-    runtime.submit_all(jobs)
+    runtime, _ = serve_runtime(record_trace=False, obs=obs)
     runtime.run()
     runtime.report()  # folds cache/TCAM counters into the registry
     return _result("serve", obs)
@@ -107,16 +89,11 @@ def run_serve(
 def _run_sourcerouted(
     scenario: str, scheme: str, sample_interval_s: float, detail: str
 ) -> ObsResult:
-    """A source-routed broadcast batch: headers charged per segment show
-    up in the byte counters, per-group switch state stays (near) zero."""
-    topo = LeafSpine(2, 4, 2)
-    message_bytes = 256 * KB
-    cfg = sim_config(message_bytes, seed=3)
-    jobs = generate_jobs(
-        topo, 3, 6, message_bytes, offered_load=0.4, gpus_per_host=1, seed=3
-    )
-    spec = ScenarioSpec(topology=topo, scheme=scheme, jobs=tuple(jobs), config=cfg)
-    return _observed(scenario, spec, sample_interval_s, detail)
+    """A source-routed broadcast batch (the headline shape at seed 3):
+    headers charged per segment show up in the byte counters, per-group
+    switch state stays (near) zero."""
+    spec, _ = headline_scenario(seed=3)
+    return _observed(scenario, replace(spec, scheme=scheme), sample_interval_s, detail)
 
 
 def run_elmo(

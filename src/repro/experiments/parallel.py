@@ -116,24 +116,6 @@ def run_sweep(
     return results
 
 
-def run_scenario_sharded(spec: Any, shards: int | None = None,
-                         processes: bool = True) -> Any:
-    """A :class:`SweepPoint`-compatible sharded scenario run.
-
-    Module-level (picklable) so a sweep can mix sharded and serial points;
-    ``processes=True`` gives each shard a worker process — the intra-point
-    parallelism the sharded core exists for — while ``processes=False``
-    keeps the lockstep windows in-process for debugging.
-    """
-    import dataclasses
-
-    from ..shard import run_sharded
-
-    if shards is not None:
-        spec = dataclasses.replace(spec, shards=shards)
-    return run_sharded(spec, processes=processes)
-
-
 @dataclass(frozen=True)
 class ShardSpeedup:
     """One serial-vs-sharded measurement: walls, and the identity proof."""
@@ -141,9 +123,14 @@ class ShardSpeedup:
     shards: int
     serial_wall_s: float
     sharded_wall_s: float
-    byte_identical: bool
+    #: Facts where the sharded result differs from the serial one.
+    differing: tuple[str, ...]
     events: int
     trace_digest: str | None
+
+    @property
+    def byte_identical(self) -> bool:
+        return not self.differing
 
     @property
     def speedup(self) -> float:
@@ -153,32 +140,31 @@ class ShardSpeedup:
 def shard_speedup(spec: Any, processes: bool = True) -> ShardSpeedup:
     """Run ``spec`` serially and sharded, compare byte-for-byte, time both.
 
-    The byte-identity flag covers the golden-trace digest, the fired-event
-    digest and the CCT list — the same artifacts the differential battery
-    pins — so a bench run that reports a speedup also *proves* the sharded
-    result is the serial result.
+    The identity proof compares the scenario kind's whole fact set
+    (:mod:`repro.replay.facts`: CCTs, digests, fabric accounting, fault
+    handling), so a bench run that reports a speedup also *proves* the
+    sharded result is the serial result.
     """
     import dataclasses
 
     from ..api import run
+    from ..replay.facts import diff_facts, scenario_facts
+    from ..shard import run_sharded
 
     spec = dataclasses.replace(spec, record_trace=True, event_digest=True)
     t0 = time.perf_counter()
     serial = run(dataclasses.replace(spec, shards=1))
     serial_wall = time.perf_counter() - t0
     t0 = time.perf_counter()
-    sharded = run_scenario_sharded(spec, processes=processes)
+    sharded = run_sharded(spec, processes=processes)
     sharded_wall = time.perf_counter() - t0
-    identical = (
-        serial.trace_digest == sharded.trace_digest
-        and serial.replay.event_digest == sharded.replay.event_digest
-        and serial.ccts == sharded.ccts
-    )
     return ShardSpeedup(
         shards=spec.shards,
         serial_wall_s=serial_wall,
         sharded_wall_s=sharded_wall,
-        byte_identical=identical,
+        differing=tuple(
+            diff_facts(scenario_facts(serial), scenario_facts(sharded))
+        ),
         events=serial.replay.events_processed,
         trace_digest=serial.trace_digest,
     )

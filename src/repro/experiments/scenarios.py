@@ -26,21 +26,20 @@ from .common import sim_config
 
 KB = 1024
 
-REPLAY_SCENARIOS = ("headline", "fault", "serve")
 
-
-def headline_scenario() -> tuple[ScenarioSpec, tuple[float, ...]]:
-    """Three concurrent PEEL broadcasts on a 2x4 leaf-spine."""
+def headline_scenario(seed: int = 1) -> tuple[ScenarioSpec, tuple[float, ...]]:
+    """Three concurrent PEEL broadcasts on a 2x4 leaf-spine (``seed`` draws
+    the jobs and the simulator seed)."""
     topo = LeafSpine(2, 4, 2)
     message_bytes = 256 * KB
     jobs = generate_jobs(
-        topo, 3, 6, message_bytes, offered_load=0.4, gpus_per_host=1, seed=1
+        topo, 3, 6, message_bytes, offered_load=0.4, gpus_per_host=1, seed=seed
     )
     spec = ScenarioSpec(
         topology=topo,
         scheme="peel",
         jobs=tuple(jobs),
-        config=sim_config(message_bytes, seed=1),
+        config=sim_config(message_bytes, seed=seed),
         record_trace=True,
     )
     first = jobs[0].arrival_s
@@ -96,7 +95,7 @@ def protected_fault_scenario(
     return dataclasses.replace(spec, protection=protection), cuts
 
 
-def shard_scenario(shards: int = 2) -> tuple[ScenarioSpec, tuple[float, ...]]:
+def shard_scenario(shards: int = 2, seed: int = 11) -> tuple[ScenarioSpec, tuple[float, ...]]:
     """The golden *sharded* scenario: pod-local broadcasts on a fat-tree.
 
     A k=4 fat-tree with three 3-host broadcasts per pod — every group (and
@@ -104,19 +103,20 @@ def shard_scenario(shards: int = 2) -> tuple[ScenarioSpec, tuple[float, ...]]:
     :func:`repro.shard.plan_partition` needs.  Running the returned spec
     with ``shards`` rewound to 1 gives the serial comparator; CI's
     shard-smoke job and the unit suite pin the two byte-identical.  Cut
-    times land mid-stream for sharded snapshot/resume checks.
+    times land mid-stream for sharded snapshot/resume checks.  ``seed``
+    draws the workload and the simulator seed (the golden one is 11).
     """
     topo = FatTree(4)
     message_bytes = 128 * KB
     jobs = pod_local_jobs(
         topo, jobs_per_pod=3, group_hosts=3, message_bytes=message_bytes,
-        offered_load=0.4, seed=11,
+        offered_load=0.4, seed=seed,
     )
     spec = ScenarioSpec(
         topology=topo,
         scheme="peel",
         jobs=tuple(jobs),
-        config=sim_config(message_bytes, seed=11),
+        config=sim_config(message_bytes, seed=seed),
         record_trace=True,
         event_digest=True,
         shards=shards,
@@ -126,13 +126,14 @@ def shard_scenario(shards: int = 2) -> tuple[ScenarioSpec, tuple[float, ...]]:
     return spec, (arrivals[0] + 5e-6, mid, arrivals[-1] + 10e-6)
 
 
-def serve_runtime(record_trace: bool = True) -> tuple[ServeRuntime, tuple[float, ...]]:
+def serve_runtime(record_trace: bool = True, obs=None) -> tuple[ServeRuntime, tuple[float, ...]]:
     """The two-tenant serving stream, submitted but not yet run.
 
     Serving runs live in a :class:`~repro.serve.ServeRuntime`, not a
     ScenarioSpec; callers drive ``runtime.run(until=...)`` /
-    ``runtime.snapshot()`` themselves.  Returns the loaded runtime plus
-    suggested cut times (mid-stream, while jobs are queued and running).
+    ``runtime.snapshot()`` themselves.  Returns the loaded runtime (with
+    ``obs`` attached, if given) plus suggested cut times (mid-stream, while
+    jobs are queued and running).
     """
     topo = LeafSpine(2, 4, 2)
     tenants = [
@@ -149,8 +150,14 @@ def serve_runtime(record_trace: bool = True) -> tuple[ServeRuntime, tuple[float,
         admission=TcamAdmission(),
         tcam_capacity=16,
         record_trace=record_trace,
+        obs=obs,
     )
     runtime.submit_all(jobs)
     arrivals = sorted(job.arrival_s for job in jobs)
     mid = arrivals[len(arrivals) // 2]
     return runtime, (arrivals[0] + 5e-6, mid, arrivals[-1] + 5e-6)
+
+
+#: Golden builders by name: each returns a spec or a loaded serving
+#: runtime, plus cut times, for :func:`repro.replay.verify_cut_points`.
+REPLAY_SCENARIOS = {"headline": headline_scenario, "fault": fault_scenario, "serve": serve_runtime}

@@ -203,6 +203,10 @@ class FaultEvent:
         return cls(at_s, str(action), target, count)
 
 
+class FaultTargetError(ValueError):
+    """A fault schedule names a link or switch the fabric lacks."""
+
+
 @dataclass
 class FaultSchedule:
     """An ordered timeline of fabric faults."""
@@ -251,6 +255,15 @@ class FaultSchedule:
     ) -> "FaultSchedule":
         """Transient fault: the next ``count`` copies on ``u -> v`` die."""
         return self.add(FaultEvent(at_s, DROP, (u, v), count))
+
+    def validate(self, topo) -> None:
+        """Raise :class:`FaultTargetError` if an event names what ``topo`` lacks."""
+        for event in self.events:
+            if event.action in (SWITCH_DOWN, SWITCH_UP):
+                if event.target[0] not in topo.graph:
+                    raise FaultTargetError(f"unknown switch {event.target[0]!r}")
+            elif not topo.graph.has_edge(*event.target):
+                raise FaultTargetError("no such link: {!r} -- {!r}".format(*event.target))
 
     # -- (de)serialization ----------------------------------------------------
 
@@ -305,21 +318,9 @@ class FaultInjector:
         # Transfers must track per-receiver segments from birth so a
         # mid-stream loss is repairable.
         env.network.fault_tolerant = True
-        self._validate()
+        schedule.validate(env.topo)
         for event in schedule:
             env.sim.schedule_at(event.at_s, self._fire, event)
-
-    def _validate(self) -> None:
-        ports = self.env.network.ports
-        graph_nodes = set(self.env.topo.graph.nodes)
-        for event in self.schedule:
-            if event.action in (SWITCH_DOWN, SWITCH_UP):
-                if event.target[0] not in graph_nodes:
-                    raise ValueError(f"unknown switch {event.target[0]!r}")
-            else:
-                u, v = event.target
-                if (u, v) not in ports:
-                    raise ValueError(f"no such link: {u!r} -- {v!r}")
 
     # -- recovery registry -----------------------------------------------------
 

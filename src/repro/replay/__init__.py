@@ -3,18 +3,21 @@
 The simulator is deterministic and — after the groundwork of keeping every
 scheduled callable picklable — its entire live object graph serializes at
 any safe point (between ``run()`` calls).  This package turns that into
-three tools:
+four tools:
 
 * :class:`Snapshot` — a versioned, checksummed container around one
-  pickled :class:`repro.api.ScenarioRun` (or :class:`repro.serve.ServeRuntime`),
-  restorable in the same or a fresh process;
+  pickled run (a :class:`repro.api.ScenarioRun`, a sharded run, a
+  :class:`repro.serve.ServeRuntime` or a control plane), restorable in the
+  same or a fresh process;
+* :mod:`repro.replay.facts` — what "the same run" means, once per run
+  kind, and the one comparator every identity proof goes through;
 * :func:`verify_scenario_replay` / :func:`verify_cut_points` — run a
-  scenario straight through, then again with a mid-run checkpoint+restore,
-  and prove the two byte-identical (event digests, golden-trace digests,
-  CCTs); on mismatch, locate the first diverging fabric event;
-* :class:`SoakRunner` — a long-haul harness cycling randomized scenarios
-  through checkpoint/restore epochs in bounded memory, with a resumable
-  on-disk manifest (``repro soak`` / ``scripts/soak.py``).
+  scenario (or a loaded serving runtime) straight through, then again
+  with a mid-run checkpoint+restore, and compare the fact sets; on
+  mismatch, locate the first diverging fabric event;
+* :class:`SoakRunner` — the one soak loop: ``scenario``, ``control`` and
+  ``shard`` epochs through checkpoint/restore in bounded memory, with a
+  resumable on-disk status manifest (``repro soak`` / ``scripts/soak.py``).
 """
 
 from .snapshot import SNAPSHOT_VERSION, Snapshot, SnapshotError

@@ -29,7 +29,7 @@ from hashlib import blake2b
 from typing import Any
 
 #: Bump when the pickled object graph changes incompatibly.
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4  # 4: handles carry their protection plan
 
 _FIELDS = ("version", "kind", "at_s", "events_processed", "checksum", "payload")
 
@@ -40,6 +40,17 @@ class SnapshotError(RuntimeError):
 
 def _checksum(payload: bytes) -> str:
     return blake2b(payload, digest_size=16).hexdigest()
+
+
+def atomic_write(path, data: bytes) -> None:
+    """Write ``data`` through a synced temp file and a rename, so a kill
+    mid-write leaves any existing ``path`` intact."""
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)
@@ -124,13 +135,7 @@ class Snapshot:
 
     def save(self, path) -> None:
         """Atomic write: a kill mid-save never corrupts an existing file."""
-        path = os.fspath(path)
-        tmp = f"{path}.tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(self.to_bytes())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        atomic_write(path, self.to_bytes())
 
     @classmethod
     def load(cls, path) -> "Snapshot":

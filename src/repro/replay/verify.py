@@ -1,18 +1,17 @@
 """Replay verification: prove a resumed run equals an uninterrupted one.
 
 :func:`verify_scenario_replay` runs a :class:`~repro.api.ScenarioSpec`
-twice — once straight through, once checkpointed at a cut time, serialized
+twice — straight through, and checkpointed at a cut time, serialized
 through the full :class:`~repro.replay.snapshot.Snapshot` byte format and
-restored — and compares everything that could possibly differ: the CCT
-list, fired-event digest, golden-trace digest, byte/PFC/drop accounting,
-and the re-peel log.  Any mismatch is reported field-by-field, and because
-both runs keep their readable fabric-event logs, the report pinpoints the
-*first* diverging event (:func:`repro.sim.trace.diff_traces`) rather than
-just saying "digest differs".
+restored — and names every fact (:mod:`repro.replay.facts`) that differs,
+plus the *first* diverging fabric event from the kept event logs
+(:func:`repro.sim.trace.diff_traces`).  A loaded, not-yet-run serving
+runtime works in place of the spec, compared on the serve fact set.
 
 The spec's ``obs`` is deliberately dropped for verification: a shared
 ``Observability`` would accumulate across both runs and fake a divergence.
-Trace recording, kept event logs and the event digest are forced on.
+The spec runs serially, with trace recording, kept event logs and the
+event digest forced on.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from typing import Iterable, Sequence
 
 from ..api import ScenarioResult, ScenarioRun, ScenarioSpec
 from ..sim import diff_traces
+from .facts import advance, diff_facts, finish, scenario_facts, start
 from .snapshot import Snapshot
 
 
@@ -54,50 +54,45 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-def _instrumented(spec: ScenarioSpec) -> ScenarioSpec:
-    """The spec with every comparison channel on and shared state off."""
+def _instrumented(subject):
+    """A spec run serially, every comparison channel on, shared state off."""
+    if not isinstance(subject, ScenarioSpec):
+        return subject  # a loaded serving runtime
     return replace(
-        spec,
-        record_trace=True,
-        keep_trace_events=True,
-        event_digest=True,
-        obs=None,
+        subject, record_trace=True, keep_trace_events=True, event_digest=True,
+        obs=None, shards=1,
     )
 
 
-def _compare(
-    baseline: ScenarioResult, resumed: ScenarioResult
-) -> list[str]:
-    """Field-by-field result comparison; empty list means identical."""
-    out: list[str] = []
-
-    def check(name: str, a: object, b: object) -> None:
-        if a != b:
-            out.append(f"{name}: straight-through {a!r} != resumed {b!r}")
-
-    check("ccts", baseline.ccts, resumed.ccts)
-    check("total_bytes", baseline.total_bytes, resumed.total_bytes)
-    check("wasted_bytes", baseline.wasted_bytes, resumed.wasted_bytes)
-    check(
-        "pfc_pause_events",
-        baseline.pfc_pause_events,
-        resumed.pfc_pause_events,
+def _verify(subject, cut_at_s: float, base_run, base_facts: dict, divergence_limit: int = 5):
+    """Checkpoint a fresh run at ``cut_at_s``, resume it from snapshot
+    bytes, and compare its facts against the uninterrupted run's."""
+    cut_run = start(subject)
+    advance(cut_run, cut_at_s)
+    blob = cut_run.snapshot().to_bytes()  # full wire format round-trip
+    resumed_run = Snapshot.from_bytes(blob).restore()
+    facts = finish(resumed_run)
+    differing = diff_facts(base_facts, facts)
+    divergence = ()
+    if differing and isinstance(subject, ScenarioSpec):
+        divergence = tuple(
+            diff_traces(base_run.env.trace, resumed_run.env.trace, divergence_limit)
+        )
+    return ReplayReport(
+        cut_at_s=cut_at_s,
+        identical=not differing,
+        mismatches=tuple(
+            f"{name}: straight-through {base_facts.get(name)!r} != "
+            f"resumed {facts.get(name)!r}"
+            for name in differing
+        ),
+        first_divergence=divergence,
+        event_digest=base_facts["event_digest"],
+        trace_digest=base_facts["trace_digest"],
+        events_at_cut=cut_run.env.sim.processed,
+        events_total=base_facts["events_processed"],
+        snapshot_bytes=len(blob),
     )
-    check("failure_drops", baseline.failure_drops, resumed.failure_drops)
-    check("repeels", baseline.repeels, resumed.repeels)
-    check("failovers", baseline.failovers, resumed.failovers)
-    check("trace_digest", baseline.trace_digest, resumed.trace_digest)
-    check(
-        "event_digest",
-        baseline.replay.event_digest,
-        resumed.replay.event_digest,
-    )
-    check(
-        "events_processed",
-        baseline.replay.events_processed,
-        resumed.replay.events_processed,
-    )
-    return out
 
 
 def verify_scenario_replay(
@@ -110,111 +105,29 @@ def verify_scenario_replay(
     snapshot, and compare against an uninterrupted run.
 
     ``baseline`` lets callers verifying several cut points reuse one
-    straight-through run (see :func:`verify_cut_points`).
+    straight-through scenario run (see :func:`verify_cut_points`).
     """
-    ispec = _instrumented(spec)
+    subject = _instrumented(spec)
     if baseline is None:
-        base_run = ScenarioRun(ispec)
-        base_result = base_run.finish()
+        base_run = start(subject)
+        base_facts = finish(base_run)
     else:
         base_run, base_result = baseline
-
-    cut_run = ScenarioRun(ispec)
-    cut_run.run_until(cut_at_s)
-    events_at_cut = cut_run.env.sim.processed
-    blob = cut_run.snapshot().to_bytes()  # full wire format round-trip
-    resumed_run = Snapshot.from_bytes(blob).restore()
-    resumed_result = resumed_run.finish()
-
-    mismatches = _compare(base_result, resumed_result)
-    divergence: tuple[str, ...] = ()
-    if mismatches:
-        divergence = tuple(
-            diff_traces(
-                base_run.env.trace, resumed_run.env.trace, divergence_limit
-            )
-        )
-    return ReplayReport(
-        cut_at_s=cut_at_s,
-        identical=not mismatches,
-        mismatches=tuple(mismatches),
-        first_divergence=divergence,
-        event_digest=base_result.replay.event_digest,
-        trace_digest=base_result.trace_digest,
-        events_at_cut=events_at_cut,
-        events_total=base_result.replay.events_processed,
-        snapshot_bytes=len(blob),
-    )
+        base_facts = scenario_facts(base_result)
+    return _verify(subject, cut_at_s, base_run, base_facts, divergence_limit)
 
 
 def verify_cut_points(
     spec: ScenarioSpec, cuts: Sequence[float] | Iterable[float]
 ) -> list[ReplayReport]:
     """One :class:`ReplayReport` per cut time, sharing a single baseline."""
-    ispec = _instrumented(spec)
-    base_run = ScenarioRun(ispec)
-    base_result = base_run.finish()
-    return [
-        verify_scenario_replay(
-            spec, cut, baseline=(base_run, base_result)
-        )
-        for cut in cuts
-    ]
+    subject = _instrumented(spec)
+    base_run = start(subject)
+    base_facts = finish(base_run)
+    return [_verify(subject, cut, base_run, base_facts) for cut in cuts]
 
 
 def verify_serve_replay(runtime_factory, cut_at_s: float) -> ReplayReport:
-    """Replay verification for a :class:`~repro.serve.ServeRuntime` stream.
-
-    ``runtime_factory`` must build a *fresh*, fully-submitted runtime each
-    call (see :func:`repro.experiments.scenarios.serve_runtime`): one copy
-    runs straight through, the other is checkpointed at ``cut_at_s``,
-    round-tripped through snapshot bytes, and resumed.  Compares the
-    per-tenant report, golden-trace digest and fired-event digest.
-    """
-    base = runtime_factory()
-    base.env.sim.attach_digest()
-    base.run()
-    base_report = base.report()
-    base_trace = base.env.trace.digest() if base.env.trace is not None else None
-    base_digest = base.env.sim.event_digest.hexdigest()
-
-    cut = runtime_factory()
-    cut.env.sim.attach_digest()
-    cut.run(until=cut_at_s)
-    events_at_cut = cut.env.sim.processed
-    blob = cut.snapshot().to_bytes()
-    resumed = Snapshot.from_bytes(blob).restore()
-    resumed.run()
-    res_report = resumed.report()
-    res_trace = (
-        resumed.env.trace.digest() if resumed.env.trace is not None else None
-    )
-    res_digest = resumed.env.sim.event_digest.hexdigest()
-
-    mismatches: list[str] = []
-    if base_report != res_report:
-        mismatches.append(
-            f"report: straight-through {base_report!r} != resumed "
-            f"{res_report!r}"
-        )
-    if base_trace != res_trace:
-        mismatches.append(
-            f"trace_digest: straight-through {base_trace!r} != resumed "
-            f"{res_trace!r}"
-        )
-    if base_digest != res_digest:
-        mismatches.append(
-            f"event_digest: straight-through {base_digest!r} != resumed "
-            f"{res_digest!r}"
-        )
-    return ReplayReport(
-        cut_at_s=cut_at_s,
-        identical=not mismatches,
-        mismatches=tuple(mismatches),
-        first_divergence=(),
-        event_digest=base_digest,
-        trace_digest=base_trace,
-        events_at_cut=events_at_cut,
-        events_total=base.env.sim.processed,
-        snapshot_bytes=len(blob),
-    )
+    """:func:`verify_scenario_replay` of the loaded, not-yet-run
+    :class:`~repro.serve.ServeRuntime` that ``runtime_factory`` builds."""
+    return verify_scenario_replay(runtime_factory(), cut_at_s)

@@ -32,7 +32,7 @@ from ..collectives import (
     SchemeSpec,
     resolve_scheme,
 )
-from ..collectives.multicast import _steiner_tree
+from ..collectives.multicast import steiner_tree
 from ..metrics import SloSummary, summarize_slo
 from ..sim import SimConfig
 from ..state import DEFAULT_CAPACITY
@@ -360,8 +360,8 @@ class ServeRuntime:
             else:
                 # The controller-view tree per-group schemes install along.
                 group = record.job.group
-                tree = _steiner_tree(
-                    self.env, group.source.host, group.receiver_hosts
+                tree = steiner_tree(
+                    self.env.topo, group.source.host, group.receiver_hosts
                 )
                 record._demand = self.state_policy.demand(
                     record.index, tree_switch_fanouts(tree)
@@ -402,7 +402,7 @@ class ServeRuntime:
             elif self.scheme_name.startswith("peel"):
                 record._route_edges = self._plan_for(record).route_edges
             else:
-                tree = _steiner_tree(self.env, group.source.host, receivers)
+                tree = steiner_tree(self.env.topo, group.source.host, receivers)
                 record._route_edges = tuple(tree.edges)
         return record._route_edges
 

@@ -11,7 +11,7 @@ from repro.collectives import (
     Gpu,
     Group,
 )
-from repro.collectives.multicast import _steiner_tree
+from repro.collectives.multicast import steiner_tree
 from repro.faults import FaultSchedule
 from repro.sim import SimConfig
 from repro.topology import FatTree
@@ -52,7 +52,7 @@ class TestHeaderBudget:
     @settings(max_examples=25, deadline=None)
     def test_elmo_encoding_respects_budget(self, hosts, budget):
         env = fresh_env()
-        tree = _steiner_tree(env, hosts[0], hosts[1:])
+        tree = steiner_tree(env.topo, hosts[0], hosts[1:])
         enc = ElmoBroadcast(header_bytes=budget)._encode(env, tree, "g")
         assert enc.header_bytes <= budget
         # Whatever was packed strips to zero by the leaves.
@@ -68,7 +68,7 @@ class TestHeaderBudget:
     @settings(max_examples=25, deadline=None)
     def test_bert_labels_cover_tree_with_zero_state(self, hosts):
         env = fresh_env()
-        tree = _steiner_tree(env, hosts[0], hosts[1:])
+        tree = steiner_tree(env.topo, hosts[0], hosts[1:])
         enc = BertBroadcast()._encode(env, tree, "g")
         assert enc.header_bytes > 0
         assert sum(enc.strip_bytes.values()) == enc.header_bytes
@@ -77,7 +77,7 @@ class TestHeaderBudget:
     def test_elmo_tiny_budget_falls_back_to_s_rules(self):
         env = fresh_env()
         hosts = sorted(env.topo.hosts)[:8]
-        tree = _steiner_tree(env, hosts[0], hosts[1:])
+        tree = steiner_tree(env.topo, hosts[0], hosts[1:])
         enc = ElmoBroadcast(header_bytes=2)._encode(env, tree, "g")
         assert enc.demand, "a 2-byte budget cannot hold the whole tree"
         assert all(keys == [("group", "g")] for keys in enc.demand.values())
@@ -105,7 +105,7 @@ def tree_fault(spec):
     env = CollectiveEnv(spec.topology, spec.config)
     group = spec.jobs[0].group
     receivers = [g.host for g in group.members if g.host != group.source.host]
-    tree = _steiner_tree(env, group.source.host, receivers)
+    tree = steiner_tree(env.topo, group.source.host, receivers)
     for child, parent in sorted(tree.parent.items()):
         if kind_of(child) is not NodeKind.HOST:
             return FaultSchedule().link_down(parent, child, 1e-5)

@@ -129,3 +129,94 @@ class TestSigkill:
         assert all(r["violations"] == 0 for r in final["epochs"])
         # Pre-kill verified epochs were not re-run or rewritten.
         assert final["epochs"][0] == first["epochs"][0]
+
+
+class TestTargets:
+    def test_unknown_target_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="target"):
+            SoakConfig(target="nope", state_dir=tmp_path)
+
+    def test_old_manifest_refused(self, tmp_path):
+        (tmp_path / "soak.json").write_text(
+            json.dumps({"version": 1, "seed": 0, "epochs": []})
+        )
+        with pytest.raises(RuntimeError, match="version"):
+            SoakRunner(SoakConfig(epochs=1, state_dir=tmp_path)).run()
+
+    def test_target_mismatch_refused(self, tmp_path):
+        SoakRunner(SoakConfig(epochs=1, seed=3, state_dir=tmp_path)).run()
+        with pytest.raises(RuntimeError, match="target"):
+            SoakRunner(
+                SoakConfig(epochs=1, seed=3, state_dir=tmp_path, target="shard")
+            ).run()
+
+    @pytest.mark.parametrize("target", ["control", "shard"])
+    def test_epoch_is_pure_in_seed_and_epoch(self, tmp_path, target):
+        runner = SoakRunner(SoakConfig(target=target, seed=5, state_dir=tmp_path))
+        _, cut_a = runner.epoch_spec(1)
+        _, cut_b = SoakRunner(
+            SoakConfig(target=target, seed=5, state_dir=tmp_path / "b")
+        ).epoch_spec(1)
+        _, cut_c = runner.epoch_spec(2)
+        assert cut_a == cut_b != cut_c
+
+
+class TestKillAfterCut:
+    """Every target: ``--kill-after-cut`` dies by SIGKILL once the first
+    snapshot is durable, the rerun finishes that epoch from the snapshot
+    on disk against the stored reference digests, and a third run is a
+    no-op."""
+
+    def _soak(self, target, state_dir, *extra):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR
+        return subprocess.run(
+            [
+                sys.executable, SOAK_SCRIPT,
+                "--target", target,
+                "--epochs", "1",
+                "--state-dir", str(state_dir),
+                *extra,
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=240,
+        )
+
+    @pytest.mark.parametrize("target", ["scenario", "control", "shard"])
+    def test_kill_resume_noop(self, tmp_path, target):
+        killed = self._soak(target, tmp_path, "--kill-after-cut")
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        manifest = json.loads((tmp_path / "soak.json").read_text())
+        [record] = manifest["epochs"]
+        assert record["status"] == "cut"
+        assert (tmp_path / "epoch-0000.snap").exists()
+
+        resumed = self._soak(target, tmp_path)
+        assert resumed.returncode == 0, resumed.stderr
+        final = json.loads((tmp_path / "soak.json").read_text())
+        [done] = final["epochs"]
+        assert done["status"] == "done" and done["resumed_identical"]
+        # Compared against the reference digests stored before the kill.
+        assert done["reference"] == record["reference"]
+        assert "replay identical" in resumed.stderr
+
+        text = (tmp_path / "soak.json").read_text()
+        noop = self._soak(target, tmp_path, "--kill-after-cut")
+        assert noop.returncode == 0, noop.stderr
+        assert "replay identical" not in noop.stderr
+        assert (tmp_path / "soak.json").read_text() == text
+
+    def test_resume_compares_against_the_stored_reference(self, tmp_path):
+        """The post-kill resume does not rerun the reference: a stored
+        digest that no longer matches is reported, by fact name."""
+        killed = self._soak("scenario", tmp_path, "--kill-after-cut")
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        path = tmp_path / "soak.json"
+        manifest = json.loads(path.read_text())
+        manifest["epochs"][0]["reference"]["ccts"] = "0" * 16
+        path.write_text(json.dumps(manifest))
+        resumed = self._soak("scenario", tmp_path)
+        assert resumed.returncode != 0
+        assert "diverged from the reference in ['ccts']" in resumed.stderr

@@ -9,26 +9,12 @@ kill/resume (a resumed process would rebuild a *different* epoch, or
 delete the wrong snapshot), so each is asserted here by exact value.
 """
 
-import importlib.util
 import os
 import random
 import time
 
-import repro
 from repro.replay import SoakConfig, SoakRunner
 from repro.replay.soak import SOAK_SCHEMES
-
-REPO_ROOT = os.path.dirname(
-    os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-)
-
-
-def _load_shard_soak():
-    path = os.path.join(REPO_ROOT, "scripts", "shard_soak.py")
-    spec = importlib.util.spec_from_file_location("shard_soak", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestEpochKeying:
@@ -105,21 +91,21 @@ class TestSnapshotNaming:
 
 
 class TestShardSoakKeying:
-    """The sharded soak script shares the contract: pure (seed, epoch)
-    keying and zero-padded, epoch-indexed snapshot names."""
+    """The shard target shares the contract: pure (seed, epoch) keying and
+    zero-padded, epoch-indexed snapshot names."""
 
-    def test_epoch_spec_is_pure_in_seed_and_epoch(self):
-        mod = _load_shard_soak()
-        spec_a, cut_a = mod.epoch_spec(seed=3, epoch=1, shards=2)
-        spec_b, cut_b = mod.epoch_spec(seed=3, epoch=1, shards=2)
+    def test_epoch_spec_is_pure_in_seed_and_epoch(self, tmp_path):
+        config = SoakConfig(target="shard", seed=3, state_dir=tmp_path)
+        spec_a, cut_a = SoakRunner(config).epoch_spec(1)
+        spec_b, cut_b = SoakRunner(config).epoch_spec(1)
         assert cut_a == cut_b
         assert spec_a.jobs == spec_b.jobs
         assert spec_a.config == spec_b.config
+        assert spec_a.shards == 2
         # Distinct epochs must draw distinct workloads.
-        spec_c, _ = mod.epoch_spec(seed=3, epoch=2, shards=2)
+        spec_c, _ = SoakRunner(config).epoch_spec(2)
         assert spec_c.jobs != spec_a.jobs
 
     def test_snap_path_is_zero_padded_epoch(self, tmp_path):
-        mod = _load_shard_soak()
-        state = mod.SoakState(str(tmp_path))
-        assert state.snap_path(7).endswith("shard-epoch-0007.snap")
+        runner = SoakRunner(SoakConfig(target="shard", state_dir=tmp_path))
+        assert str(runner._snapshot_path(7)).endswith("epoch-0007.snap")

@@ -79,6 +79,33 @@ class TestPinnedCounts:
         ) == expected
 
 
+class TestOneLedger:
+    def test_protected_pass_leaves_only_the_runtime_ledger(self):
+        """Serving accounts switch state in ``runtime.state`` alone: after a
+        protected pass it is back to its deploy-once rules, and no other
+        switch-state ledger on the runtime or its env holds an entry."""
+        topo = LeafSpine(4, 8, 2)
+        jobs = generate_jobs(
+            topo, 60, 6, 128 * KB, offered_load=0.5, gpus_per_host=1, seed=3
+        )
+        runtime = ServeRuntime(
+            topo, "peel", SimConfig(segment_bytes=64 * KB, seed=3),
+            protection=1,
+        )
+        runtime.submit_all(jobs)
+        runtime.run()
+        runtime.report()
+        assert sum(len(t) for t in runtime.state.tables.values()) == 180
+        others = [
+            name
+            for owner in (runtime, runtime.env)
+            for name, value in vars(owner).items()
+            if isinstance(value, FabricState) and value is not runtime.state
+            and any(len(t) for t in value.tables.values())
+        ]
+        assert others == []
+
+
 class TestFeasibleReservesStaticRules:
     def test_never_fitting_jobs_are_rejected_not_queued(self):
         """With 15 of 16 entries taken by deploy-once prefix rules, no job's

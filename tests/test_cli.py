@@ -1,5 +1,6 @@
 """CLI smoke tests (fast subcommands only)."""
 
+import json
 import warnings
 
 import pytest
@@ -228,6 +229,25 @@ class TestArgumentBoundary:
         path.write_text(content)
         line = self.usage_error(["faults", "--schedule", str(path)], capsys)
         assert "argument --schedule" in line
+
+    @pytest.mark.parametrize(
+        "event, message",
+        [
+            pytest.param({"action": "link_down", "link": ["spine:99", "leaf:0"]},
+                         "no such link", id="unknown-link"),
+            pytest.param({"action": "switch_down", "switch": "spine:99"},
+                         "unknown switch", id="unknown-switch"),
+        ],
+    )
+    def test_faults_schedule_names_what_the_fabric_lacks(
+        self, capsys, tmp_path, event, message
+    ):
+        """Well-formed, but only the built fabric can tell it is wrong."""
+        path = tmp_path / "faults.json"
+        path.write_text(json.dumps([dict(at_ms=1, **event)]))
+        line = self.usage_error(["faults", "--schedule", str(path)], capsys)
+        assert "argument --schedule" in line
+        assert message in line
 
     def test_faults_missing_schedule(self, capsys, tmp_path):
         line = self.usage_error(
