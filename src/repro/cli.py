@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 
 from .experiments import (
     control_churn,
@@ -83,6 +84,50 @@ def scheme_spec(text: str) -> str:
     return text
 
 
+def at_least(minimum: int) -> Callable[[str], int]:
+    """argparse ``type=`` for a count or size flag: a value under the
+    command's own ``minimum`` is a usage error while parsing."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
+def positive(text: str) -> float:
+    """argparse ``type=`` for a rate, load or interval: above zero."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be above 0, got {value}")
+    return value
+
+
+def probability(text: str) -> float:
+    """argparse ``type=`` for a probability: within [0, 1]."""
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return value
+
+
+def pod_count(text: str) -> int:
+    """argparse ``type=`` for ``shard --pods``, the fat-tree's ``k``: PEEL
+    needs ``k/2`` to be a power of two, and the demo's 3-host pod-local
+    groups need ``k >= 4`` (a pod has ``k*k/4`` hosts)."""
+    value = int(text)
+    if value < 4 or value & (value - 1):
+        raise argparse.ArgumentTypeError(
+            f"must be a power of two of at least 4, got {value}"
+        )
+    return value
+
+
 def fault_schedule(path: str) -> FaultSchedule:
     """argparse ``type=`` for a JSON fault schedule: load it while parsing,
     so a missing or malformed file is a usage error."""
@@ -105,24 +150,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_workers_flag(parser_: argparse.ArgumentParser) -> None:
         parser_.add_argument(
-            "-j", "--workers", dest="workers", type=int, default=None,
+            "-j", "--workers", dest="workers", type=at_least(1), default=None,
             metavar="N",
             help="worker processes for the sweep (default: one per CPU; "
                  "1 = serial in-process)")
 
     p = sub.add_parser("frontier", help=EXPERIMENTS["frontier"])
-    p.add_argument("--sizes", type=int, nargs="+",
+    p.add_argument("--sizes", type=at_least(1), nargs="+",
                    default=list(fig3_frontier.DEFAULT_SIZES),
                    help="group sizes (hosts per group) to sweep")
-    p.add_argument("--fanouts", type=int, nargs="+",
+    p.add_argument("--fanouts", type=at_least(1), nargs="+",
                    default=list(fig3_frontier.DEFAULT_FANOUTS),
                    help="rack fanouts (racks per group) to sweep")
     p.add_argument("--schemes", nargs="+", type=scheme_spec,
                    default=list(fig3_frontier.DEFAULT_SCHEMES),
                    help="registry schemes to sweep (name or name:param=value)")
-    p.add_argument("--message-kb", type=int, default=64,
+    p.add_argument("--message-kb", type=at_least(1), default=64,
                    help="message size per collective (KB)")
-    p.add_argument("--shards", type=int, default=1,
+    p.add_argument("--shards", type=at_least(1), default=1,
                    help="simulation shards per point (byte-identical to 1)")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--check-invariants", action="store_true",
@@ -130,31 +175,33 @@ def build_parser() -> argparse.ArgumentParser:
     add_workers_flag(p)
 
     p = sub.add_parser("fig4", help=EXPERIMENTS["fig4"])
-    p.add_argument("--sizes", type=int, nargs="+", default=[2, 8, 32])
-    p.add_argument("--num-jobs", type=int, default=8,
+    p.add_argument("--sizes", type=at_least(1), nargs="+", default=[2, 8, 32])
+    p.add_argument("--num-jobs", type=at_least(1), default=8,
                    help="concurrent collectives per scenario point")
     add_workers_flag(p)
 
     p = sub.add_parser("fig5", help=EXPERIMENTS["fig5"])
-    p.add_argument("--sizes", type=int, nargs="+", default=[2, 16, 64])
-    p.add_argument("--num-jobs", type=int, default=8,
+    p.add_argument("--sizes", type=at_least(1), nargs="+",
+                   default=[2, 16, 64])
+    p.add_argument("--num-jobs", type=at_least(1), default=8,
                    help="concurrent collectives per scenario point")
-    p.add_argument("--gpus", type=int, default=512)
+    p.add_argument("--gpus", type=at_least(2), default=512)
     p.add_argument("--check-invariants", action="store_true",
                    help="assert fabric invariants throughout (slower)")
     add_workers_flag(p)
 
     p = sub.add_parser("fig6", help=EXPERIMENTS["fig6"])
-    p.add_argument("--scales", type=int, nargs="+", default=[64, 256])
-    p.add_argument("--num-jobs", type=int, default=6,
+    p.add_argument("--scales", type=at_least(2), nargs="+", default=[64, 256])
+    p.add_argument("--num-jobs", type=at_least(1), default=6,
                    help="concurrent collectives per scenario point")
     p.add_argument("--check-invariants", action="store_true",
                    help="assert fabric invariants throughout (slower)")
     add_workers_flag(p)
 
     p = sub.add_parser("fig7", help=EXPERIMENTS["fig7"])
-    p.add_argument("--failures", type=int, nargs="+", default=[1, 4, 10])
-    p.add_argument("--num-jobs", type=int, default=20,
+    p.add_argument("--failures", type=at_least(0), nargs="+",
+                   default=[1, 4, 10])
+    p.add_argument("--num-jobs", type=at_least(1), default=20,
                    help="concurrent collectives per scenario point")
     p.add_argument("--check-invariants", action="store_true",
                    help="assert fabric invariants throughout (slower)")
@@ -163,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("faults", help=EXPERIMENTS["faults"])
     p.add_argument("--scheme", default="peel",
                    choices=faults_demo.RECOVERABLE_SCHEMES)
-    p.add_argument("--gpus", type=int, default=32)
-    p.add_argument("--message-mb", type=int, default=8)
+    p.add_argument("--gpus", type=at_least(2), default=32)
+    p.add_argument("--message-mb", type=at_least(1), default=8)
     p.add_argument("--schedule", metavar="PATH", type=fault_schedule,
                    help="JSON fault schedule (see repro.faults); default "
                         "flaps a loaded spine link mid-Broadcast")
@@ -177,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("failover", help=EXPERIMENTS["failover"])
-    p.add_argument("--protection", type=int, nargs="+", default=[0, 1],
+    p.add_argument("--protection", type=at_least(0), nargs="+", default=[0, 1],
                    metavar="F",
                    help="resilience levels to sweep (0 = reactive re-peel "
                         "only; F >= 1 pre-installs F backup subtrees per "
@@ -185,28 +232,28 @@ def build_parser() -> argparse.ArgumentParser:
     add_workers_flag(p)
 
     p = sub.add_parser("guard", help=EXPERIMENTS["guard"])
-    p.add_argument("--num-jobs", type=int, default=12,
+    p.add_argument("--num-jobs", type=at_least(1), default=12,
                    help="concurrent collectives in the ablation")
 
     sub.add_parser("frag", help=EXPERIMENTS["frag"])
 
     p = sub.add_parser("deploy", help=EXPERIMENTS["deploy"])
-    p.add_argument("--num-jobs", type=int, default=6,
+    p.add_argument("--num-jobs", type=at_least(1), default=6,
                    help="concurrent collectives per deployment stage")
 
     p = sub.add_parser("churn", help=EXPERIMENTS["churn"])
-    p.add_argument("--num-jobs", type=int, default=1500)
+    p.add_argument("--num-jobs", type=at_least(1), default=1500)
 
     p = sub.add_parser("control", help=EXPERIMENTS["control"])
-    p.add_argument("--num-jobs", type=int,
+    p.add_argument("--num-jobs", type=at_least(1),
                    default=control_churn.DEFAULT_NUM_JOBS,
                    help="collectives submitted through the service")
     p.add_argument("--seed", type=int, default=control_churn.DEFAULT_SEED)
-    p.add_argument("--admit-mb", type=int, default=None, metavar="MB",
+    p.add_argument("--admit-mb", type=at_least(1), default=None, metavar="MB",
                    help="cap outstanding admitted bytes per link "
                         "(LinkLoadAdmission): bounded fabric occupancy, "
                         "head-of-line queueing in the tail")
-    p.add_argument("--gap-scale", type=float, default=1.0, metavar="X",
+    p.add_argument("--gap-scale", type=positive, default=1.0, metavar="X",
                    help="stretch interarrival gaps; 1.0 offers ~3x fabric "
                         "capacity (replanner headline), 8.0 keeps even "
                         "fully shared spine links subcritical for "
@@ -214,16 +261,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_workers_flag(p)
 
     p = sub.add_parser("serve", help=EXPERIMENTS["serve"])
-    p.add_argument("--loads", type=float, nargs="+",
+    p.add_argument("--loads", type=positive, nargs="+",
                    default=list(fig_serving.DEFAULT_LOADS))
     p.add_argument("--schemes", nargs="+",
                    default=list(fig_serving.DEFAULT_SCHEMES),
                    choices=fig_serving.DEFAULT_SCHEMES)
-    p.add_argument("--num-jobs", type=int, default=150,
+    p.add_argument("--num-jobs", type=at_least(1), default=150,
                    help="submitted jobs per (load, scheme) point")
-    p.add_argument("--gpus", type=int, default=16)
+    p.add_argument("--gpus", type=at_least(2), default=16)
     add_workers_flag(p)
-    p.add_argument("--tcam", type=int, default=24,
+    p.add_argument("--tcam", type=at_least(1), default=24,
                    help="per-switch TCAM entries available to multicast")
     p.add_argument("--failures", action="store_true",
                    help="replay the highest load with a mid-stream link flap")
@@ -240,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(open in chrome://tracing or ui.perfetto.dev)")
     p.add_argument("--metrics-out", metavar="PATH",
                    help="write the metrics-registry snapshot JSON here")
-    p.add_argument("--sample-interval", type=float, default=None,
+    p.add_argument("--sample-interval", type=positive, default=None,
                    metavar="SECONDS",
                    help="periodic sampler cadence in simulated seconds "
                         "(default: per-scenario, 50-200 us)")
@@ -259,13 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default="scenario", choices=SOAK_TARGETS,
                    help="randomized scenarios, the control-plane churn "
                         "campaign, or 2-shard pod-local specs vs serial")
-    p.add_argument("--epochs", type=int, default=3,
+    p.add_argument("--epochs", type=at_least(1), default=3,
                    help="epochs to verify (resumes where a killed run "
                         "left off)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--state-dir", default="soak-state", metavar="DIR",
                    help="manifest + snapshot directory (survives kills)")
-    p.add_argument("--fault-probability", type=float, default=0.6,
+    p.add_argument("--fault-probability", type=probability, default=0.6,
                    help="chance a scenario epoch includes a mid-run link "
                         "flap")
     p.add_argument("--kill-after-cut", action="store_true",
@@ -273,13 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "snapshot is durable (exercises resume-from-disk)")
 
     p = sub.add_parser("shard", help=EXPERIMENTS["shard"])
-    p.add_argument("--shards", type=int, default=4,
+    p.add_argument("--shards", type=at_least(2), default=4,
                    help="worker shards (each a full simulator)")
-    p.add_argument("--pods", type=int, default=4,
+    p.add_argument("--pods", type=pod_count, default=4,
                    help="fat-tree arity k = pod count (even)")
-    p.add_argument("--jobs-per-pod", type=int, default=8,
+    p.add_argument("--jobs-per-pod", type=at_least(1), default=8,
                    help="pod-local broadcasts per pod")
-    p.add_argument("--message-kb", type=int, default=128)
+    p.add_argument("--message-kb", type=at_least(1), default=128)
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--serve", action="store_true",
                    help="run a sharded *serving* campaign (ServeRuntime "

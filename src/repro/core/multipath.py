@@ -7,8 +7,10 @@ trees that overlap as little as possible and stripe segments across them.
 
 On a symmetric fabric the trees are exact optima that differ in their
 upper-tier choices (different aggregation group / core / spine per tree) —
-same cost, disjoint trunks.  On asymmetric fabrics the greedy is re-run
-with already-used links de-prioritized.
+same cost, disjoint trunks.  On asymmetric fabrics the greedy is re-run on
+one residual adjacency with each tree's switch-to-switch links cut out
+before the next (:func:`~repro.core.layer_peeling.peel_disjoint`, the loop
+protection backups use too), so the trees share no switch-to-switch link.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from ..steiner import MulticastTree, validate_tree
 from ..topology import FatTree, LeafSpine, Topology
 from ..topology import addressing as addr
-from .layer_peeling import layer_peeling_tree
+from .layer_peeling import peel_disjoint, residual_adjacency
 
 
 def diverse_trees(
@@ -33,7 +35,7 @@ def diverse_trees(
     if not dests:
         return [MulticastTree(source, {})]
     if not topo.is_symmetric:
-        return _peeled_diverse(topo, source, dests, count)
+        return peel_disjoint(residual_adjacency(topo), source, dests, count)
     if isinstance(topo, LeafSpine):
         trees = _leafspine_variants(topo, source, dests, count)
     elif isinstance(topo, FatTree):
@@ -126,34 +128,4 @@ def _fattree_variants(
                     for tor in sorted(pod_tors[pod]):
                         parent[tor] = agg
         trees.append(MulticastTree(source, parent))
-    return trees
-
-
-def _peeled_diverse(
-    topo: Topology, source: str, dests: list[str], count: int
-) -> list[MulticastTree]:
-    """Asymmetric fabrics: re-run the greedy on a copy with the previous
-    tree's switch-to-switch links removed (when connectivity allows)."""
-    trees = [layer_peeling_tree(topo, source, dests)]
-    scratch = topo.copy()
-    for _ in range(count - 1):
-        removed = []
-        for u, v in trees[-1].edges:
-            is_core_link = (
-                addr.kind_of(u) is not addr.NodeKind.HOST
-                and addr.kind_of(v) is not addr.NodeKind.HOST
-            )
-            if is_core_link and scratch.graph.has_edge(u, v):
-                scratch.graph.remove_edge(u, v)
-                removed.append((u, v))
-        try:
-            tree = layer_peeling_tree(scratch, source, dests)
-        except ValueError:
-            # Not enough diversity left; restore and stop.
-            for u, v in removed:
-                scratch.graph.add_edge(u, v, capacity_bps=topo.link_bps)
-            break
-        trees.append(tree)
-        if len(trees) == count:
-            break
     return trees

@@ -4,18 +4,20 @@ The reactive recovery story (:mod:`repro.faults`) detects a failure ~100 µs
 after the fact and re-peels; this module moves the work to *plan time*, in
 the style of OpenFlow Fast-Failover group tables.  For every protected link
 of a primary peel tree the planner computes up to ``F`` mutually
-edge-disjoint backup subtrees (the same scratch-topology construction
-:func:`repro.core.multipath.diverse_trees` uses) and records the extra
-per-switch entries they cost.  When a protected link dies, the affected
-transfer flips to the first healthy backup *at the cut event itself* — no
-detection delay, no controller round trip — while unprotected cuts keep
-falling back to the reactive re-peel.
+edge-disjoint backup subtrees and records the extra per-switch entries they
+cost.  When a protected link dies, the affected transfer flips to the first
+healthy backup *at the cut event itself* — no detection delay, no
+controller round trip — while unprotected cuts keep falling back to the
+reactive re-peel.
 
 A *protected link* is a switch-to-switch link of the primary tree: host
 attachments are single-homed, so no backup subtree can route around them.
-Backup computation is best effort — a fabric without enough residual
-diversity simply leaves that link unprotected (reactive recovery still
-covers it).
+Backups are peeled on one residual adjacency per plan: the protected link
+is cut out of it, :func:`~repro.core.layer_peeling.peel_disjoint` (the
+loop :func:`repro.core.multipath.diverse_trees` uses too) peels and cuts
+the alternatives, and every cut is restored before the next link.  Backup
+computation is best effort — a fabric without enough residual diversity
+simply leaves that link unprotected (reactive recovery still covers it).
 """
 
 from __future__ import annotations
@@ -25,10 +27,7 @@ from dataclasses import dataclass, field
 from ..steiner import MulticastTree
 from ..topology import Topology
 from ..topology.addressing import NodeKind, kind_of
-from .layer_peeling import layer_peeling_tree
-
-def _is_core_link(u: str, v: str) -> bool:
-    return kind_of(u) is not NodeKind.HOST and kind_of(v) is not NodeKind.HOST
+from .layer_peeling import peel_disjoint, residual_adjacency, switch_links
 
 
 def _link_key(u: str, v: str) -> tuple[str, str]:
@@ -113,15 +112,15 @@ def build_protection(
 ) -> ProtectionPlan:
     """Backup subtrees for every protectable link of the primary trees.
 
-    For alternative ``j`` of a protected link the scratch topology drops
-    the protected link plus the switch-to-switch links of alternatives
-    ``0..j-1``, then re-runs the layer-peeling greedy toward the tree's
-    own receivers — so alternatives are mutually edge-disjoint and each
-    avoids the link it protects.  Links whose removal disconnects some
-    receiver get no (or fewer) backups.
+    Alternative ``j`` of a protected link is peeled toward the tree's own
+    receivers on the fabric minus the protected link and the
+    switch-to-switch links of alternatives ``0..j-1`` — so alternatives are
+    mutually edge-disjoint and each avoids the link it protects.  Links
+    whose removal disconnects some receiver get no (or fewer) backups.
     """
     if resilience < 1:
         raise ValueError(f"resilience must be >= 1, got {resilience}")
+    residual = residual_adjacency(topo)
     entries: dict[tuple[int, tuple[str, str]], BackupEntry] = {}
     for index, tree in enumerate(trees):
         hosts = sorted(
@@ -129,40 +128,15 @@ def build_protection(
         )
         if not hosts:
             continue
-        for parent_node, child in sorted(tree.edges):
-            if not _is_core_link(parent_node, child):
-                continue
-            key = (index, _link_key(parent_node, child))
-            if key in entries:
-                continue
-            backups = _backup_alternatives(
-                topo, source, hosts, (parent_node, child), resilience
-            )
-            if backups:
-                entries[key] = BackupEntry(
-                    tree_index=index, link=key[1], backups=tuple(backups)
+        for link in sorted(switch_links(tree)):
+            try:
+                backups = peel_disjoint(
+                    residual, source, hosts, resilience, cut=[link]
                 )
+            except ValueError:
+                continue  # the cut strands a receiver: reactive recovery only
+            key = (index, _link_key(*link))
+            entries[key] = BackupEntry(
+                tree_index=index, link=key[1], backups=tuple(backups)
+            )
     return ProtectionPlan(resilience=resilience, entries=entries)
-
-
-def _backup_alternatives(
-    topo: Topology,
-    source: str,
-    hosts: list[str],
-    protected: tuple[str, str],
-    resilience: int,
-) -> list[MulticastTree]:
-    scratch = topo.copy()
-    if scratch.graph.has_edge(*protected):
-        scratch.graph.remove_edge(*protected)
-    backups: list[MulticastTree] = []
-    for _ in range(resilience):
-        try:
-            backup = layer_peeling_tree(scratch, source, hosts)
-        except ValueError:
-            break  # residual diversity exhausted; keep what we have
-        backups.append(backup)
-        for u, v in backup.edges:
-            if _is_core_link(u, v) and scratch.graph.has_edge(u, v):
-                scratch.graph.remove_edge(u, v)
-    return backups

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable, Mapping
 
 import networkx as nx
 
@@ -15,11 +15,14 @@ class InvalidTreeError(ValueError):
 
 def validate_tree(
     tree: MulticastTree,
-    graph: nx.Graph,
+    graph: nx.Graph | Mapping[str, Collection[str]],
     source: str,
     destinations: Iterable[str],
 ) -> None:
     """Check that ``tree`` is a valid multicast tree for the group.
+
+    ``graph`` is a networkx graph or a ``node -> neighbours`` mapping (the
+    residual adjacency a planner peeled the tree on).
 
     Invariants:
     * rooted at ``source``;
@@ -32,8 +35,13 @@ def validate_tree(
     """
     if tree.root != source:
         raise InvalidTreeError(f"tree rooted at {tree.root!r}, expected {source!r}")
+    has_edge = (
+        graph.has_edge
+        if isinstance(graph, nx.Graph)
+        else lambda u, v: v in graph.get(u, ())
+    )
     for u, v in tree.edges:
-        if not graph.has_edge(u, v):
+        if not has_edge(u, v):
             raise InvalidTreeError(f"tree uses non-existent link {u!r} -- {v!r}")
     nodes = tree.nodes
     missing = [d for d in destinations if d not in nodes]
@@ -43,7 +51,7 @@ def validate_tree(
 
 def is_valid_tree(
     tree: MulticastTree,
-    graph: nx.Graph,
+    graph: nx.Graph | Mapping[str, Collection[str]],
     source: str,
     destinations: Iterable[str],
 ) -> bool:

@@ -10,20 +10,25 @@ Two families, per the protection design (DESIGN.md "Protection"):
 * *behavioural* — cutting any fully-protected link mid-broadcast with the
   InvariantChecker in raise mode still delivers exactly-once to every
   receiver, recovers by local failover (no re-peel), and never trips a
-  conservation/exactly-once invariant.
+  conservation/exactly-once invariant;
+* *identity* — backups and diverse trees peeled on one residual adjacency
+  equal those of a reference that peels each alternative with the
+  networkx greedy on a fresh copy of the fabric.
 """
 
 import random
 
-from hypothesis import assume, given, settings
+import networkx as nx
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import ScenarioSpec, run
 from repro.collectives import Gpu, Group
-from repro.core import Peel
+from repro.core import Peel, diverse_trees
 from repro.faults import FaultSchedule
 from repro.sim import SimConfig
-from repro.topology import FatTree, LeafSpine
+from repro.steiner import MulticastTree
+from repro.topology import FatTree, LeafSpine, asymmetric
 from repro.topology.addressing import NodeKind, kind_of
 from repro.workloads import CollectiveJob
 
@@ -160,3 +165,178 @@ class TestProtectedCutDelivery:
         # The cut took the local path, never the detection-delayed re-peel.
         assert result.repeels == []
         assert [f.link for f in result.failovers] == [link]
+
+
+# -- identity against a copy-based reference ----------------------------------
+#
+# The reference below is the planner as it was before peeling moved onto a
+# residual adjacency: the §2.3 greedy over a networkx graph, and backup and
+# diverse loops that peel each alternative on a fresh copy of the fabric.
+
+
+def is_core_link(u, v):
+    return kind_of(u) is not NodeKind.HOST and kind_of(v) is not NodeKind.HOST
+
+
+def reference_peel(graph, source, dests):
+    dests = [d for d in dict.fromkeys(dests) if d != source]
+    if not dests:
+        return MulticastTree(source, {})
+    dist = nx.single_source_shortest_path_length(graph, source)
+    layers = [set() for _ in range(max(dist.values()) + 1)]
+    for node, d in dist.items():
+        layers[d].add(node)
+    for d in dests:
+        if d not in dist:
+            raise ValueError(f"destination {d!r} unreachable from {source!r}")
+    in_tree = {source, *dests}
+    parent = {}
+    for level in range(max(dist[d] for d in dests) - 1, -1, -1):
+        uncovered = set()
+        for node in [n for n in layers[level + 1] if n in in_tree]:
+            existing = [
+                v for v in graph.neighbors(node)
+                if v in layers[level] and v in in_tree
+            ]
+            if existing:
+                parent.setdefault(node, min(existing))
+            else:
+                uncovered.add(node)
+        while uncovered:
+            best, best_cover = None, 0
+            for node in sorted(layers[level]):
+                if kind_of(node) is NodeKind.HOST:
+                    continue
+                cover = sum(1 for v in graph.neighbors(node) if v in uncovered)
+                if cover > best_cover:
+                    best, best_cover = node, cover
+            if best is None:
+                best = next(
+                    n for n in sorted(layers[level])
+                    if any(v in uncovered for v in graph.neighbors(n))
+                )
+            in_tree.add(best)
+            for node in sorted(uncovered & set(graph.neighbors(best))):
+                parent[node] = best
+                uncovered.discard(node)
+    return MulticastTree(source, parent)
+
+
+def reference_backups(topo, source, hosts, protected, resilience):
+    scratch = topo.copy()
+    if scratch.graph.has_edge(*protected):
+        scratch.graph.remove_edge(*protected)
+    backups = []
+    for _ in range(resilience):
+        try:
+            backup = reference_peel(scratch.graph, source, hosts)
+        except ValueError:
+            break
+        backups.append(backup)
+        for u, v in backup.edges:
+            if is_core_link(u, v) and scratch.graph.has_edge(u, v):
+                scratch.graph.remove_edge(u, v)
+    return backups
+
+
+def reference_protection(topo, trees, source, resilience):
+    """``(tree index, link) -> backup parent maps`` for every entry."""
+    entries = {}
+    for index, tree in enumerate(trees):
+        hosts = sorted(
+            n for n in tree.nodes if kind_of(n) is NodeKind.HOST and n != source
+        )
+        if not hosts:
+            continue
+        for u, v in sorted(tree.edges):
+            if not is_core_link(u, v):
+                continue
+            backups = reference_backups(topo, source, hosts, (u, v), resilience)
+            if backups:
+                entries[index, tuple(sorted((u, v)))] = [b.parent for b in backups]
+    return entries
+
+
+def reference_diverse(topo, source, dests, count):
+    trees = [reference_peel(topo.graph, source, dests)]
+    scratch = topo.copy()
+    for _ in range(count - 1):
+        for u, v in trees[-1].edges:
+            if is_core_link(u, v) and scratch.graph.has_edge(u, v):
+                scratch.graph.remove_edge(u, v)
+        try:
+            trees.append(reference_peel(scratch.graph, source, dests))
+        except ValueError:
+            break
+    return trees
+
+
+def stranding_leafspine():
+    """``leaf:1`` keeps one spine link, so cutting it strands its hosts."""
+    topo = LeafSpine(2, 4, 2)
+    topo.fail_link("spine:0", "leaf:1")
+    return topo
+
+
+@st.composite
+def asymmetric_groups(draw):
+    """A random group on a randomly failed leaf-spine or fat-tree."""
+    if draw(st.sampled_from(["leafspine", "fattree"])) == "leafspine":
+        base = LeafSpine(
+            draw(st.integers(2, 4)), draw(st.integers(2, 6)), draw(st.integers(1, 2))
+        )
+        # Up to half the spine links: some leaves keep one uplink, whose cut
+        # strands every receiver under them.
+        fraction = draw(st.sampled_from([0.15, 0.3, 0.5]))
+    else:
+        base = FatTree(4, hosts_per_tor=draw(st.integers(1, 2)))
+        fraction = draw(st.sampled_from([0.1, 0.25, 0.4]))
+    seed = draw(st.integers(0, 2**16))
+    topo, _ = asymmetric(base, fraction, seed=seed)
+    assume(not topo.is_symmetric)
+    rng = random.Random(seed)
+    hosts = rng.sample(topo.hosts, rng.randint(2, min(10, len(topo.hosts))))
+    return topo, hosts[0], hosts[1:]
+
+
+class TestResidualPlanningIdentity:
+    @given(asymmetric_groups(), st.integers(1, 2))
+    @example((stranding_leafspine(), "host:l0:0", ["host:l1:0", "host:l2:1"]), 1)
+    @example((stranding_leafspine(), "host:l1:1", ["host:l0:0", "host:l3:0"]), 2)
+    @settings(max_examples=40, deadline=None)
+    def test_plan_matches_copy_based_reference(self, case, resilience):
+        topo, source, dests = case
+        plan = Peel(topo, resilience=resilience).plan(source, dests)
+        assert plan.base_tree.parent == reference_peel(topo.graph, source, dests).parent
+        got = {
+            key: [b.parent for b in entry.backups]
+            for key, entry in plan.protection.entries.items()
+        }
+        want = reference_protection(topo, plan.static_trees, source, resilience)
+        assert got == want
+        assert list(got) == list(want)
+
+    @given(asymmetric_groups(), st.integers(1, 4))
+    @example((stranding_leafspine(), "host:l0:0", ["host:l1:0", "host:l2:1"]), 3)
+    @settings(max_examples=40, deadline=None)
+    def test_diverse_trees_match_copy_based_reference(self, case, count):
+        topo, source, dests = case
+        got = [t.parent for t in diverse_trees(topo, source, dests, count)]
+        want = [t.parent for t in reference_diverse(topo, source, dests, count)]
+        assert got == want
+
+    def test_stranding_cut_leaves_the_link_unprotected(self):
+        """The reference fabric really strands: its single uplink gets no
+        backup, both ways, while the other core links do."""
+        topo = stranding_leafspine()
+        source, dests = "host:l0:0", ["host:l1:0", "host:l2:1"]
+        plan = Peel(topo, resilience=1).plan(source, dests)
+        want = reference_protection(topo, plan.static_trees, source, 1)
+        assert {key: [b.parent for b in e.backups]
+                for key, e in plan.protection.entries.items()} == want
+        stranded = ("leaf:1", "spine:1")
+        assert any(
+            tree_uses(t, stranded) for t in plan.static_trees
+        )
+        assert not plan.protection.protects(*stranded)
+        assert plan.protection.entries

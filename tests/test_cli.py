@@ -187,8 +187,8 @@ class TestMain:
 
 
 class TestArgumentBoundary:
-    """A bad scheme spec or fault schedule is a one-line usage error
-    (exit 2), never a traceback from inside the run."""
+    """A bad scheme spec, fault schedule or out-of-range number is a
+    one-line usage error (exit 2), never a traceback from inside the run."""
 
     def usage_error(self, argv, capsys) -> str:
         with pytest.raises(SystemExit) as exc:
@@ -254,3 +254,41 @@ class TestArgumentBoundary:
             ["faults", "--schedule", str(tmp_path / "missing.json")], capsys
         )
         assert "argument --schedule" in line
+
+    @pytest.mark.parametrize(
+        "argv, flag, message",
+        [
+            pytest.param(["soak", "--epochs", "0"], "--epochs",
+                         "at least 1", id="soak-epochs"),
+            pytest.param(["soak", "--fault-probability", "2"],
+                         "--fault-probability", "in [0, 1]",
+                         id="soak-fault-probability"),
+            pytest.param(["faults", "--gpus", "0"], "--gpus",
+                         "at least 2", id="faults-gpus"),
+            pytest.param(["shard", "--shards", "0"], "--shards",
+                         "at least 2", id="shard-shards"),
+            pytest.param(["shard", "--shards", "1"], "--shards",
+                         "at least 2", id="shard-one-shard"),
+            pytest.param(["shard", "--pods", "6"], "--pods",
+                         "power of two", id="shard-pods"),
+            pytest.param(["serve", "--loads", "0"], "--loads",
+                         "above 0", id="serve-loads"),
+            pytest.param(["fig5", "--workers", "0"], "-j/--workers",
+                         "at least 1", id="workers"),
+        ],
+    )
+    def test_out_of_range_number(self, capsys, argv, flag, message):
+        line = self.usage_error(argv, capsys)
+        assert f"argument {flag}" in line
+        assert message in line
+
+    def test_non_number_keeps_argparse_wording(self, capsys):
+        line = self.usage_error(["faults", "--gpus", "x"], capsys)
+        assert "argument --gpus: invalid int value: 'x'" in line
+
+    def test_each_command_keeps_its_own_minimum(self):
+        """A scenario runs on one shard; ``repro shard`` compares two."""
+        args = build_parser().parse_args(["frontier", "--shards", "1"])
+        assert args.shards == 1
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["shard", "--shards", "1"])
